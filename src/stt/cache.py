@@ -1,8 +1,11 @@
 """Content-hash build cache for check results.
 
-Keys cover the module's source bytes, the keys of everything it imports
-(so any transitive byte change invalidates dependents), the tool version
-and the solver capacity.  Corrupt entries degrade to misses.
+Keys cover the module's name, its absolute path and its source bytes, the
+keys of everything it imports (so any transitive byte change invalidates
+dependents), the tool version and the solver capacity.  Two modules with
+the same bytes therefore never share a report, whose module name and
+diagnostic spans name the file.  Corrupt entries degrade to misses and set
+``corrupt`` for the caller to report.
 """
 
 from __future__ import annotations
@@ -17,9 +20,15 @@ from .diagnostics import Diagnostic
 from .kernel import CheckReport
 
 
-def module_key(source: bytes, import_keys: list[str], capacity: int) -> str:
+def module_key(
+    name: str, path: str, source: bytes, import_keys: list[str], capacity: int,
+) -> str:
     h = hashlib.sha256()
     h.update(f"stt:{__version__}:capacity={capacity}".encode())
+    h.update(b"\x00module\x00")
+    h.update(name.encode())
+    h.update(b"\x00path\x00")
+    h.update(os.path.abspath(path).encode())
     h.update(b"\x00source\x00")
     h.update(source)
     for k in sorted(import_keys):
@@ -33,11 +42,12 @@ class Cache:
         self.root = root
         self.hits = 0
         self.misses = 0
+        self.corrupt = False
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], key + ".json")
 
-    def load(self, key: str, path: str) -> Optional[CheckReport]:
+    def load(self, key: str) -> Optional[CheckReport]:
         try:
             with open(self._path(key), "r", encoding="utf-8") as fh:
                 data = json.load(fh)

@@ -12,11 +12,9 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import corpus as corpus_mod
 from .cache import Cache, module_key
 from .diagnostics import Diagnostic, render
 from .kernel import CheckReport, build_env, check_module
@@ -31,14 +29,13 @@ class RunConfig:
     search_paths: list[str] = field(default_factory=list)
     json_output: bool = False
     trace_tope: bool = False
-    jobs: int = 1
     capacity: int = 8
     no_cache: bool = False
     cache_dir: str = ".stt-cache"
 
     def __post_init__(self) -> None:
-        if self.jobs < 1 or self.capacity < 1:
-            raise ValueError("jobs and capacity must be positive")
+        if self.capacity < 1:
+            raise ValueError("capacity must be positive")
 
 
 @dataclass(eq=False)
@@ -66,7 +63,8 @@ def _find_module(name: str, search_paths: list[str]) -> Optional[str]:
 
 
 def resolve(targets: list[str], search_paths: list[str]) -> dict[str, ResolvedModule]:
-    """Load targets and their transitive imports into an acyclic module graph."""
+    """Load targets and their transitive imports; return them in dependency
+    order (every module after its imports)."""
     modules: dict[str, ResolvedModule] = {}
     queue: list[tuple[str, str]] = []
     for t in targets:
@@ -100,48 +98,78 @@ def resolve(targets: list[str], search_paths: list[str]) -> dict[str, ResolvedMo
                 raise ResolveError(
                     f"{path}: cannot resolve import {imp!r} on the search path")
             queue.append((os.path.abspath(found), imp))
-    _check_acyclic(modules)
-    return modules
 
-
-def _check_acyclic(modules: dict[str, ResolvedModule]) -> None:
-    state: dict[str, int] = {}
+    ordered: dict[str, ResolvedModule] = {}
     stack: list[str] = []
 
     def visit(name: str) -> None:
-        if state.get(name) == 2:
+        if name in ordered:
             return
-        if state.get(name) == 1:
+        if name in stack:
             cycle = " -> ".join(stack[stack.index(name):] + [name])
             raise ResolveError(f"import cycle: {cycle}")
-        state[name] = 1
         stack.append(name)
-        for imp in modules[name].imports:
-            if imp in modules:
-                visit(imp)
-        stack.pop()
-        state[name] = 2
-
-    for name in sorted(modules):
-        visit(name)
-
-
-def _topo_order(modules: dict[str, ResolvedModule]) -> list[str]:
-    order: list[str] = []
-    seen: set[str] = set()
-
-    def visit(name: str) -> None:
-        if name in seen:
-            return
-        seen.add(name)
         for imp in sorted(modules[name].imports):
-            if imp in modules:
-                visit(imp)
-        order.append(name)
+            visit(imp)
+        stack.pop()
+        ordered[name] = modules[name]
 
     for name in sorted(modules):
         visit(name)
-    return order
+    return ordered
+
+
+def check_modules(
+    modules: dict[str, ResolvedModule],
+    solver: Solver,
+    cache: Optional[Cache] = None,
+) -> dict[str, CheckReport]:
+    """Check modules given in dependency order, one at a time.
+
+    A module with a failed import is not checked.  With a cache, a hit is
+    replayed: its report is reused and, if it checked, its declarations are
+    added to the environment without checking their bodies again.
+    """
+    keys: dict[str, str] = {}
+    envs: dict[str, dict] = {}
+    reports: dict[str, CheckReport] = {}
+    for name, resolved in modules.items():
+        keys[name] = module_key(
+            name, resolved.path, resolved.source.encode(),
+            [keys[i] for i in resolved.imports], solver.capacity)
+        failed_imports = sorted(
+            imp for imp in resolved.imports if reports[imp].status != "ok")
+        if failed_imports:
+            report = CheckReport(module=name, status="failed")
+            report.diagnostics.append(Diagnostic(
+                "error", "IMPORT",
+                f"imports failed to check: {', '.join(failed_imports)}",
+                resolved.path, (0, 0)))
+            reports[name] = report
+            continue
+        env: dict = {}
+        for imp in resolved.imports:
+            env.update(envs[imp])
+        report = None
+        if cache is not None:
+            report = cache.load(keys[name])
+            if cache.corrupt:
+                print(f"warning: corrupt cache entry for {name}; rechecking",
+                      file=sys.stderr)
+                cache.corrupt = False
+        if report is not None:
+            env_out = (
+                build_env(resolved.module, env, solver)
+                if report.status == "ok" else {}
+            )
+        else:
+            report, env_out = check_module(
+                resolved.module, env, solver,
+                parse_diagnostics=resolved.parse_diagnostics)
+            if cache is not None:
+                cache.store(keys[name], report)
+        reports[name], envs[name] = report, env_out
+    return reports
 
 
 def run(config: RunConfig) -> int:
@@ -157,81 +185,9 @@ def run(config: RunConfig) -> int:
     trace_lines: list[str] = []
     if config.trace_tope:
         solver.trace = trace_lines.append
-
     cache = None if config.no_cache else Cache(config.cache_dir)
-    keys: dict[str, str] = {}
-    for name in _topo_order(modules):
-        keys[name] = module_key(
-            modules[name].source.encode(),
-            [keys[i] for i in modules[name].imports if i in keys],
-            config.capacity)
+    reports = check_modules(modules, solver, cache)
 
-    reports: dict[str, CheckReport] = {}
-    envs: dict[str, dict] = {}
-    warnings: list[str] = []
-
-    def check_one(name: str) -> tuple[str, CheckReport, dict]:
-        resolved = modules[name]
-        failed_imports = sorted(
-            imp for imp in resolved.imports
-            if imp in reports and reports[imp].status != "ok")
-        if failed_imports:
-            gated = CheckReport(module=name, status="failed")
-            gated.diagnostics.append(Diagnostic(
-                "error", "IMPORT",
-                f"imports failed to check: {', '.join(failed_imports)}",
-                resolved.path, (0, 0)))
-            return name, gated, {}
-        env: dict = {}
-        for imp in resolved.imports:
-            env.update(envs.get(imp, {}))
-        if cache is not None:
-            cached = cache.load(keys[name], resolved.path)
-            if getattr(cache, "corrupt", False):
-                warnings.append(
-                    f"warning: corrupt cache entry for {name}; rechecking")
-                cache.corrupt = False
-            if cached is not None:
-                env_out = (
-                    build_env(resolved.module, env, solver)
-                    if cached.status == "ok" else {}
-                )
-                return name, cached, env_out
-        report, env_out = check_module(
-            resolved.module, env, solver,
-            parse_diagnostics=resolved.parse_diagnostics,
-            allowed_postulates=corpus_mod.ALLOWED_POSTULATES)
-        if cache is not None:
-            cache.store(keys[name], report)
-        return name, report, env_out
-
-    pending = set(modules)
-    deps = {n: {i for i in modules[n].imports if i in modules} for n in modules}
-
-    if config.jobs == 1:
-        for name in _topo_order(modules):
-            _, report, env_out = check_one(name)
-            reports[name] = report
-            envs[name] = env_out
-    else:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            running = {}
-            while pending or running:
-                ready = [n for n in sorted(pending) if deps[n] <= set(reports)]
-                for n in ready:
-                    pending.discard(n)
-                    running[pool.submit(check_one, n)] = n
-                if not running:
-                    break
-                done, _ = wait(running, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    running.pop(fut)
-                    name, report, env_out = fut.result()
-                    reports[name] = report
-                    envs[name] = env_out
-
-    for w in warnings:
-        print(w, file=sys.stderr)
     failed = False
     for name in sorted(reports):
         report = reports[name]
@@ -241,8 +197,7 @@ def run(config: RunConfig) -> int:
             print(json.dumps(report.to_json(), sort_keys=True), file=out)
         else:
             for d in report.diagnostics:
-                src = modules[name].source if name in modules else None
-                print(render(d, src), file=out)
+                print(render(d, modules[name].source), file=out)
             print(
                 f"{name}: {report.status} "
                 f"({report.declarations_checked} declarations, "
@@ -264,7 +219,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                     help="emit one JSON object per module")
     ap.add_argument("--trace-tope", action="store_true",
                     help="log every tope entailment query")
-    ap.add_argument("--jobs", type=int, default=1, metavar="N")
     ap.add_argument("--capacity", type=int, default=8, metavar="N",
                     help="interval-variable bound for the tope solver")
     ap.add_argument("--no-cache", action="store_true")
@@ -285,7 +239,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             search_paths=search,
             json_output=args.json_output,
             trace_tope=args.trace_tope,
-            jobs=args.jobs,
             capacity=args.capacity,
             no_cache=args.no_cache,
             cache_dir=args.cache_dir,

@@ -7,7 +7,8 @@ Units are `.stt` files under `corpus/`, one per topic, tiered:
   * P:  the axiom manifest itself (`AXIOMS.stt`).
 
 Each file carries structured header comments parsed here: `--@tier`,
-`--@thm <label>` (one per named statement the unit covers).
+`--@thm <label>` (one per named statement the unit covers).  The tier
+rule itself is enforced by `kernel.check_module`.
 """
 
 from __future__ import annotations
@@ -16,27 +17,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .diagnostics import Diagnostic
-from .kernel import CheckReport, check_module
-from .parser import parse_module
+from .cli import check_modules, resolve
+from .kernel import ALLOWED_POSTULATES, CheckReport  # noqa: F401 (re-exported)
 from .topes import Solver
-
-# the global axiom manifest: the only postulates T1 proofs may depend on.
-# `relfunext` packages relative function extensionality at the inclusions
-# the corpus uses; the walking bi-invertible arrow is postulated with its
-# universal property, its endpoint inclusions pinned by two evaluation
-# identities.
-ALLOWED_POSTULATES = frozenset({
-    "relfunext",
-    "walking_biinv",
-    "walking_biinv_ump",
-    "walking_biinv_i0",
-    "walking_biinv_i1",
-    "walking_biinv_ev0",
-    "walking_biinv_ev1",
-})
-
-AXIOM_FILE = "AXIOMS"
 
 
 @dataclass(eq=False)
@@ -46,13 +29,6 @@ class CorpusUnit:
     tier: str  # "T1" | "T2" | "P"
     anchors: list[str] = field(default_factory=list)
     depends_on: list[str] = field(default_factory=list)
-
-
-_UNIT_ORDER = [
-    "prelude", "shapes", "hom", "segal_rezk", "AXIOMS", "ext_laws",
-    "orthogonality", "lari_appendix", "lari", "inner", "mates_appendix",
-    "cocart", "covariant", "yoneda",
-]
 
 
 def corpus_root(base: Optional[str] = None) -> str:
@@ -74,103 +50,31 @@ def corpus_root(base: Optional[str] = None) -> str:
 
 
 def corpus_manifest(base: Optional[str] = None) -> list[CorpusUnit]:
-    """The fixed unit list, in dependency order, read from the shipped files."""
-    root = corpus_root(base)
-    units = []
-    for name in _UNIT_ORDER:
-        path = os.path.join(root, name + ".stt")
-        with open(path, "r", encoding="utf-8") as fh:
-            source = fh.read()
-        mod, _ = parse_module(source, path, name=name)
-        tier = (mod.directives.get("tier") or ["T2"])[0]
-        units.append(CorpusUnit(
-            file=path,
-            name=name,
-            tier=tier,
-            anchors=mod.directives.get("thm", []),
-            depends_on=[imp for imp, _ in mod.imports],
-        ))
-    return units
+    """The units `all.stt` imports, in dependency order, with tier, anchors
+    and imports read from each file."""
+    modules = resolve([os.path.join(corpus_root(base), "all.stt")], [])
+    return [
+        CorpusUnit(
+            file=m.path,
+            name=m.name,
+            tier=(m.module.directives.get("tier") or ["T2"])[0],
+            anchors=m.module.directives.get("thm", []),
+            depends_on=m.imports,
+        )
+        for m in modules.values() if m.name != "all"
+    ]
 
 
-def verify_corpus(
-    units: list[CorpusUnit],
-    solver: Optional[Solver] = None,
-) -> CheckReport:
-    """Check every unit in dependency order, enforcing the tier rules, and
-    aggregate one report."""
-    solver = solver if solver is not None else Solver()
+def verify_corpus(units: list[CorpusUnit]) -> CheckReport:
+    """Check the units and their imports with the driver `stt check` runs,
+    and fold the module reports into one."""
     total = CheckReport(module="corpus", status="ok")
-    order = _toposort(units)
-    envs: dict[str, dict] = {}
-    checked: set[str] = set()
-    for unit in order:
-        with open(unit.file, "r", encoding="utf-8") as fh:
-            source = fh.read()
-        mod, diags = parse_module(source, unit.file, name=unit.name)
-        missing = [d for d in unit.depends_on if d not in checked]
-        if missing:
-            total.diagnostics.append(Diagnostic(
-                "error", "IMPORT",
-                f"unit {unit.name!r} depends on unchecked or failed "
-                f"unit(s): {', '.join(missing)}",
-                unit.file, (0, 0)))
-            continue
-        env: dict = {}
-        for dep in unit.depends_on:
-            env.update(envs[dep])
-        if unit.tier == "T1":
-            for decl in mod.declarations:
-                if decl.kind == "postulate" and decl.name not in ALLOWED_POSTULATES:
-                    total.diagnostics.append(Diagnostic(
-                        "error", "TIER",
-                        f"T1 unit {unit.name!r} postulates {decl.name!r} "
-                        "outside the axiom manifest",
-                        unit.file, decl.name_span))
-        if unit.name == AXIOM_FILE:
-            declared = {d.name for d in mod.declarations if d.kind == "postulate"}
-            extra = declared - ALLOWED_POSTULATES
-            if extra:
-                total.diagnostics.append(Diagnostic(
-                    "error", "TIER",
-                    f"axiom manifest declares unexpected postulates: "
-                    f"{', '.join(sorted(extra))}",
-                    unit.file, (0, 0)))
-        report, env_out = check_module(
-            mod, env, solver, parse_diagnostics=diags,
-            allowed_postulates=ALLOWED_POSTULATES)
+    modules = resolve([u.file for u in units], [])
+    for report in check_modules(modules, Solver()).values():
         total.diagnostics.extend(report.diagnostics)
         total.declarations_checked += report.declarations_checked
         total.solver_queries += report.solver_queries
         total.wall_time += report.wall_time
-        if report.status == "ok" and not any(
-            d.severity == "error" and d.file == unit.file
-            for d in total.diagnostics
-        ):
-            envs[unit.name] = env_out
-            checked.add(unit.name)
-    if any(d.severity == "error" for d in total.diagnostics):
-        total.status = "failed"
+        if report.status != "ok":
+            total.status = "failed"
     return total
-
-
-def _toposort(units: list[CorpusUnit]) -> list[CorpusUnit]:
-    by_name = {u.name: u for u in units}
-    order: list[CorpusUnit] = []
-    state: dict[str, int] = {}
-
-    def visit(u: CorpusUnit) -> None:
-        if state.get(u.name) == 2:
-            return
-        if state.get(u.name) == 1:
-            raise ValueError(f"corpus dependency cycle through {u.name!r}")
-        state[u.name] = 1
-        for dep in u.depends_on:
-            if dep in by_name:
-                visit(by_name[dep])
-        state[u.name] = 2
-        order.append(u)
-
-    for u in units:
-        visit(u)
-    return order

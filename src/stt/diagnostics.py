@@ -9,7 +9,7 @@ from typing import Optional
 @dataclass(eq=False)
 class Diagnostic:
     severity: str  # "error" | "warning"
-    code: str  # LEX PARSE SORT MISMATCH CAPACITY INFER CHECK IMPORT TIER
+    code: str  # LEX PARSE SORT CAPACITY INFER CHECK IMPORT TIER
     message: str
     file: str
     span: tuple[int, int]

@@ -16,7 +16,6 @@ stay uniform across layers.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -307,23 +306,19 @@ def base_name(name: str) -> str:
     return name.split("$", 1)[0] or "x"
 
 
-_fv_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def free_vars(t: Union[Term, Tope]) -> frozenset[str]:
-    """Free variables, cached per node (terms are immutable)."""
+    """Free variables, cached on the node itself (terms are immutable, so
+    the set never goes stale; the attribute is not a dataclass field)."""
     try:
-        cached = _fv_cache.get(t)
-    except TypeError:
-        cached = None
-    if cached is not None:
-        return cached
+        return t._fv
+    except AttributeError:
+        pass
     out: set[str] = set()
     _free_vars(t, out)
     result = frozenset(out)
     try:
-        _fv_cache[t] = result
-    except TypeError:
+        object.__setattr__(t, "_fv", result)
+    except (AttributeError, TypeError):
         pass
     return result
 
@@ -395,90 +390,98 @@ def _open_binder(x: str, pieces, name: str, value, fvs):
 
 
 def _subst(t, name, value, fvs):
-    if name not in free_vars(t):
+    try:
+        fv = t._fv
+    except AttributeError:
+        fv = free_vars(t)
+    if name not in fv:
         return t
-    match t:
-        case Var(n):
-            return value if n == name else t
-        case Pi(x, dom, cod):
-            dom2 = _subst(dom, name, value, fvs)
-            if x == name:
-                return Pi(x, dom2, cod)
-            x2, [cod2] = _open_binder(x, [cod], name, value, fvs)
-            return Pi(x2, dom2, _subst(cod2, name, value, fvs))
-        case Sigma(x, dom, cod):
-            dom2 = _subst(dom, name, value, fvs)
-            if x == name:
-                return Sigma(x, dom2, cod)
-            x2, [cod2] = _open_binder(x, [cod], name, value, fvs)
-            return Sigma(x2, dom2, _subst(cod2, name, value, fvs))
-        case Lam(x, body):
-            if x == name:
-                return t
-            x2, [body2] = _open_binder(x, [body], name, value, fvs)
-            return Lam(x2, _subst(body2, name, value, fvs))
-        case App(f, a):
-            return App(_subst(f, name, value, fvs), _subst(a, name, value, fvs))
-        case Pair(a, b):
-            return Pair(_subst(a, name, value, fvs), _subst(b, name, value, fvs))
-        case Fst(p):
-            return Fst(_subst(p, name, value, fvs))
-        case Snd(p):
-            return Snd(_subst(p, name, value, fvs))
-        case IdType(amb, l, r):
-            return IdType(
-                _subst(amb, name, value, fvs),
-                _subst(l, name, value, fvs),
-                _subst(r, name, value, fvs),
-            )
-        case Refl(a):
-            return Refl(_subst(a, name, value, fvs))
-        case JElim(c, d, p):
-            return JElim(
-                _subst(c, name, value, fvs),
-                _subst(d, name, value, fvs),
-                _subst(p, name, value, fvs),
-            )
-        case ShapeTy(x, sort, tope):
-            if x == name:
-                return t
-            x2, [tope2] = _open_binder(x, [tope], name, value, fvs)
-            return ShapeTy(x2, sort, _subst(tope2, name, value, fvs))
-        case Extension(x, dom, phi, fam, part):
-            dom2 = _subst(dom, name, value, fvs)
-            if x == name:
-                return Extension(x, dom2, phi, fam, part)
-            x2, [phi2, fam2, part2] = _open_binder(
-                x, [phi, fam, part], name, value, fvs
-            )
-            return Extension(
-                x2,
-                dom2,
-                _subst(phi2, name, value, fvs),
-                _subst(fam2, name, value, fvs),
-                _subst(part2, name, value, fvs),
-            )
-        case RecOr(lt, rt, l, r):
-            return RecOr(
-                _subst(lt, name, value, fvs),
-                _subst(rt, name, value, fvs),
-                _subst(l, name, value, fvs),
-                _subst(r, name, value, fvs),
-            )
-        case Meet(a, b):
-            return Meet(_subst(a, name, value, fvs), _subst(b, name, value, fvs))
-        case Join(a, b):
-            return Join(_subst(a, name, value, fvs), _subst(b, name, value, fvs))
-        case TopeEq(l, r):
-            return TopeEq(_subst(l, name, value, fvs), _subst(r, name, value, fvs))
-        case TopeLeq(l, r):
-            return TopeLeq(_subst(l, name, value, fvs), _subst(r, name, value, fvs))
-        case TopeAnd(l, r):
-            return TopeAnd(_subst(l, name, value, fvs), _subst(r, name, value, fvs))
-        case TopeOr(l, r):
-            return TopeOr(_subst(l, name, value, fvs), _subst(r, name, value, fvs))
-        case _:
-            return t
+    if type(t) is Var:
+        return value
+    out = _rebuild(t, name, value, fvs)
+    # ``name`` occurs free in ``t``, so the result's free variables follow
+    # without a walk (renaming a binder does not change them)
+    object.__setattr__(out, "_fv", (fv - {name}) | fvs)
+    return out
+
+
+def _rebuild(t, name, value, fvs):
+    """One step of `_subst` on a node in which ``name`` occurs free.  It
+    dispatches on the exact class, as the kernel's hottest function: a
+    chain of class patterns costs an isinstance test per case tried.  A
+    binder equal to ``name`` can only be on Pi, Sigma or Extension, whose
+    domains sit outside the binder's scope."""
+    cls = type(t)
+    if cls in _BINARY:
+        a, b = _BINARY[cls](t)
+        return cls(_subst(a, name, value, fvs), _subst(b, name, value, fvs))
+    if cls is Lam:
+        x2, [body2] = _open_binder(t.binder, [t.body], name, value, fvs)
+        return Lam(x2, _subst(body2, name, value, fvs))
+    if cls is Pi or cls is Sigma:
+        x, dom, cod = (
+            (t.binder, t.domain, t.codomain) if cls is Pi
+            else (t.binder, t.fst_type, t.snd_type))
+        dom2 = _subst(dom, name, value, fvs)
+        if x == name:
+            return cls(x, dom2, cod)
+        x2, [cod2] = _open_binder(x, [cod], name, value, fvs)
+        return cls(x2, dom2, _subst(cod2, name, value, fvs))
+    if cls is Fst or cls is Snd:
+        return cls(_subst(t.pair, name, value, fvs))
+    if cls is Refl:
+        return Refl(_subst(t.arg, name, value, fvs))
+    if cls is IdType:
+        return IdType(
+            _subst(t.ambient, name, value, fvs),
+            _subst(t.lhs, name, value, fvs),
+            _subst(t.rhs, name, value, fvs),
+        )
+    if cls is JElim:
+        return JElim(
+            _subst(t.motive, name, value, fvs),
+            _subst(t.base, name, value, fvs),
+            _subst(t.path, name, value, fvs),
+        )
+    if cls is ShapeTy:
+        x2, [tope2] = _open_binder(t.binder, [t.tope], name, value, fvs)
+        return ShapeTy(x2, t.sort, _subst(tope2, name, value, fvs))
+    if cls is Extension:
+        x = t.binder
+        dom2 = _subst(t.domain, name, value, fvs)
+        if x == name:
+            return Extension(x, dom2, t.subtope, t.family, t.partial)
+        x2, [phi2, fam2, part2] = _open_binder(
+            x, [t.subtope, t.family, t.partial], name, value, fvs
+        )
+        return Extension(
+            x2,
+            dom2,
+            _subst(phi2, name, value, fvs),
+            _subst(fam2, name, value, fvs),
+            _subst(part2, name, value, fvs),
+        )
+    if cls is RecOr:
+        return RecOr(
+            _subst(t.left_tope, name, value, fvs),
+            _subst(t.right_tope, name, value, fvs),
+            _subst(t.left, name, value, fvs),
+            _subst(t.right, name, value, fvs),
+        )
+    raise AssertionError(f"free variable {name!r} in a {cls.__name__}")
+
+
+# the two children of each node class that has two and binds nothing
+_BINARY = {
+    App: lambda t: (t.fn, t.arg),
+    Pair: lambda t: (t.fst, t.snd),
+    Meet: lambda t: (t.left, t.right),
+    Join: lambda t: (t.left, t.right),
+    TopeEq: lambda t: (t.lhs, t.rhs),
+    TopeLeq: lambda t: (t.lhs, t.rhs),
+    TopeAnd: lambda t: (t.left, t.right),
+    TopeOr: lambda t: (t.left, t.right),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ agree wherever the oracle is defined.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -106,63 +105,58 @@ class _Flattener:
                 raise SortError("snd applied to a non-product cube term")
         raise SortError(f"not a cube term: {type(t).__name__}")
 
+    # flatten and formula dispatch on the exact class, not on class
+    # patterns: every entailment query walks its hypotheses and goal here
+
     def flatten(self, t: Term) -> tuple:
-        match t:
-            case Var(n):
-                if n not in self.env:
-                    raise SortError(f"unbound cube variable {n}")
-                return self.env[n]
-            case Cube0():
-                return ("const", 0)
-            case Cube1():
-                return ("const", 1)
-            case CubeStar():
-                return ("unit",)
-            case Meet(a, b):
-                fa, fb = self.flatten(a), self.flatten(b)
-                if not (_interval_tree(fa) and _interval_tree(fb)):
-                    raise SortError("connections apply to interval terms only")
-                return ("min", fa, fb)
-            case Join(a, b):
-                fa, fb = self.flatten(a), self.flatten(b)
-                if not (_interval_tree(fa) and _interval_tree(fb)):
-                    raise SortError("connections apply to interval terms only")
-                return ("max", fa, fb)
-            case Pair(a, b):
-                return ("pair", self.flatten(a), self.flatten(b))
-            case Fst(p):
-                inner = self.flatten(p)
-                if inner[0] != "pair":
-                    raise SortError("fst applied to a non-product cube term")
-                return inner[1]
-            case Snd(p):
-                inner = self.flatten(p)
-                if inner[0] != "pair":
-                    raise SortError("snd applied to a non-product cube term")
-                return inner[2]
-        raise SortError(f"not a cube term: {type(t).__name__}")
+        cls = type(t)
+        if cls is Var:
+            try:
+                return self.env[t.name]
+            except KeyError:
+                raise SortError(f"unbound cube variable {t.name}") from None
+        if cls is Meet or cls is Join:
+            fa, fb = self.flatten(t.left), self.flatten(t.right)
+            if not (_interval_tree(fa) and _interval_tree(fb)):
+                raise SortError("connections apply to interval terms only")
+            return ("min" if cls is Meet else "max", fa, fb)
+        if cls is Cube0:
+            return ("const", 0)
+        if cls is Cube1:
+            return ("const", 1)
+        if cls is CubeStar:
+            return ("unit",)
+        if cls is Pair:
+            return ("pair", self.flatten(t.fst), self.flatten(t.snd))
+        if cls is Fst or cls is Snd:
+            inner = self.flatten(t.pair)
+            if inner[0] != "pair":
+                raise SortError(
+                    f"{'fst' if cls is Fst else 'snd'} applied to a non-product cube term")
+            return inner[1] if cls is Fst else inner[2]
+        raise SortError(f"not a cube term: {cls.__name__}")
 
     # formulas: ("top",) ("bot",) ("and", l, r) ("or", l, r)
     # ("leq", v, v) ("eq", v, v) with v interval-valued trees
 
     def formula(self, tope: Tope) -> tuple:
-        match tope:
-            case TopeTop():
-                return ("top",)
-            case TopeBot():
-                return ("bot",)
-            case TopeAnd(l, r):
-                return ("and", self.formula(l), self.formula(r))
-            case TopeOr(l, r):
-                return ("or", self.formula(l), self.formula(r))
-            case TopeLeq(l, r):
-                fl, fr = self.flatten(l), self.flatten(r)
-                if not (_interval_tree(fl) and _interval_tree(fr)):
-                    raise SortError("<= relates interval terms only")
-                return ("leq", fl, fr)
-            case TopeEq(l, r):
-                return self._eq(self.flatten(l), self.flatten(r))
-        raise SortError(f"not a tope: {type(tope).__name__}")
+        cls = type(tope)
+        if cls is TopeAnd:
+            return ("and", self.formula(tope.left), self.formula(tope.right))
+        if cls is TopeOr:
+            return ("or", self.formula(tope.left), self.formula(tope.right))
+        if cls is TopeEq:
+            return self._eq(self.flatten(tope.lhs), self.flatten(tope.rhs))
+        if cls is TopeLeq:
+            fl, fr = self.flatten(tope.lhs), self.flatten(tope.rhs)
+            if not (_interval_tree(fl) and _interval_tree(fr)):
+                raise SortError("<= relates interval terms only")
+            return ("leq", fl, fr)
+        if cls is TopeTop:
+            return ("top",)
+        if cls is TopeBot:
+            return ("bot",)
+        raise SortError(f"not a tope: {cls.__name__}")
 
     def _eq(self, a: tuple, b: tuple) -> tuple:
         # componentwise on products, trivial on the unit cube
@@ -345,17 +339,12 @@ def _canon_formula(f: tuple, rename: dict[int, int]) -> tuple:
 
 @dataclass
 class Solver:
-    """Entailment solver with a memo table and optional query tracing.
-
-    The memo table is safe for concurrent use under the GIL: inserts publish
-    complete values and recomputation is idempotent.
-    """
+    """Entailment solver with a memo table and optional query tracing."""
 
     capacity: int = 8
     trace: Optional[Callable[[str], None]] = None
     memo: dict = field(default_factory=dict)
     queries: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock)
 
     def entails(
         self,
@@ -364,8 +353,7 @@ class Solver:
         goal: Tope,
     ) -> bool:
         """Decide ctx | hyps |- goal over all finite total orders."""
-        with self._lock:
-            self.queries += 1
+        self.queries += 1
         fl = _Flattener(tuple(ctx))
         hf = fl.formula(hyps)
         gf = fl.formula(goal)

@@ -136,9 +136,9 @@ def test_criterion_3_judgmental_golden_suite(capsys):
     n_cases = sum(
         1 for line in open(target, encoding="utf-8")
         if line.startswith("def eq"))
-    code1 = cli_main([target, "--no-cache", "--trace-tope", "--jobs", "1"])
+    code1 = cli_main([target, "--no-cache", "--trace-tope"])
     out1 = capsys.readouterr().out
-    code2 = cli_main([target, "--no-cache", "--trace-tope", "--jobs", "1"])
+    code2 = cli_main([target, "--no-cache", "--trace-tope"])
     out2 = capsys.readouterr().out
     golden = open(golden_path, encoding="utf-8").read()
     ok = code1 == 0 and code2 == 0 and out1 == out2 == golden and n_cases >= 30
@@ -289,7 +289,7 @@ def test_criterion_7_cache_soundness(tmp_path, capsys):
     originals = {f: (work / f).read_text(encoding="utf-8") for f in files}
     rng = random.Random(7)
     # warm the cache
-    cli_main([target, "--cache-dir", str(cache_dir), "--jobs", "1"])
+    cli_main([target, "--cache-dir", str(cache_dir)])
     capsys.readouterr()
     trials = 100
     mismatches = []
@@ -297,11 +297,11 @@ def test_criterion_7_cache_soundness(tmp_path, capsys):
     for i in range(trials):
         victim = rng.choice(files)
         (work / victim).write_text(_mutate(rng, originals[victim]), encoding="utf-8")
-        cached_exit = cli_main([target, "--cache-dir", str(cache_dir), "--jobs", "1"])
-        capsys.readouterr()
-        fresh_exit = cli_main([target, "--no-cache", "--jobs", "1"])
-        capsys.readouterr()
-        if cached_exit != fresh_exit:
+        cached_exit = cli_main([target, "--cache-dir", str(cache_dir), "--json"])
+        cached_out = capsys.readouterr().out
+        fresh_exit = cli_main([target, "--no-cache", "--json"])
+        fresh_out = capsys.readouterr().out
+        if (cached_exit, cached_out) != (fresh_exit, fresh_out):
             mismatches.append((i, victim, cached_exit, fresh_exit))
         (work / victim).write_text(originals[victim], encoding="utf-8")
     elapsed = time.time() - start

@@ -43,7 +43,7 @@ class TestExitCodes:
         assert code == 2
 
     def test_bad_usage(self, run_cli):
-        code, _, _ = run_cli("--jobs")
+        code, _, _ = run_cli("--capacity")
         assert code == 2
 
     def test_exit_code_matrix(self, run_cli, tmp_path):
@@ -126,12 +126,6 @@ class TestDeterminism:
         out2 = run_cli(f)[1]
         assert out1 == out2
 
-    def test_jobs_parallel_same_diagnostics(self, run_cli):
-        target = os.path.join(CORPUS, "all.stt")
-        out1 = run_cli(target)[1]
-        out4 = run_cli(target, "--jobs", "4")[1]
-        assert out1 == out4
-
 
 class TestTrace:
     def test_trace_lines_stable(self, run_cli, tmp_path):
@@ -143,7 +137,7 @@ class TestTrace:
         assert any(line.startswith("ENTAILS ") for line in out1.splitlines())
 
     def test_golden_trace(self, run_cli):
-        code, out, err = run_cli(GOLDEN_STT, "--trace-tope", "--jobs", "1")
+        code, out, err = run_cli(GOLDEN_STT, "--trace-tope")
         assert code == 0
         golden = open(os.path.join(os.path.dirname(GOLDEN_STT), "golden_eq.out")).read()
         assert out + err == golden or out == golden
@@ -177,6 +171,15 @@ class TestCache:
         code, out, err = run_cli(f, cache_dir=cache)
         assert code == 0
         assert "corrupt" in err
+
+    def test_same_bytes_in_two_modules_do_not_share_an_entry(self, run_cli, tmp_path):
+        a = write(tmp_path, "a.stt", "def x : U1 := U;\n")
+        b = write(tmp_path, "b.stt", "def x : U1 := U;\n")
+        cache = tmp_path / "cache"
+        run_cli(a, "--json", cache_dir=cache)
+        code, out, _ = run_cli(b, "--json", cache_dir=cache)
+        assert code == 0
+        assert json.loads(out)["module"] == "b"
 
     def test_no_cache_bypasses(self, run_cli, tmp_path):
         f = write(tmp_path, "m.stt", "def a : U := {t : I | TOP};\n")

@@ -29,6 +29,11 @@ def test_manifest_size_and_tiers(manifest):
         assert tiers[t2] in ("T1", "T2")
 
 
+def test_manifest_names_every_corpus_file(manifest):
+    files = {f[:-len(".stt")] for f in os.listdir(CORPUS) if f.endswith(".stt")}
+    assert sorted(u.name for u in manifest) == sorted(files - {"all"})
+
+
 def test_dependency_graph_acyclic(manifest):
     seen = set()
     for u in manifest:  # manifest order is a topological order
@@ -70,7 +75,7 @@ def test_stray_postulate_rejected(tmp_path, manifest):
     units = [CorpusUnit(file=str(bad), name="bad_unit", tier="T1")]
     report = verify_corpus(units)
     assert report.status == "failed"
-    assert any(d.code == "TIER" for d in report.diagnostics)
+    assert [d.code for d in report.diagnostics] == ["TIER"]
 
 
 def test_failed_dependency_gates_unit(tmp_path):

@@ -237,11 +237,12 @@ class TestDeclarations:
         assert report.status == "ok" and report.declarations_checked == 0
 
     def test_tier_rule(self):
-        mod, _ = parse_module(
-            "--@tier T1\npostulate sneaky : U;\n", "t1.stt")
-        report, _ = check_module(mod, {}, Solver(), allowed_postulates=frozenset())
-        assert report.status == "failed"
-        assert report.diagnostics[0].code == "TIER"
+        for tier in ("T1", "P"):
+            mod, _ = parse_module(
+                f"--@tier {tier}\npostulate sneaky : U;\n", "t.stt")
+            report, _ = check_module(mod, {}, Solver())
+            assert report.status == "failed", tier
+            assert [d.code for d in report.diagnostics] == ["TIER"], tier
 
     def test_import_collision(self):
         _, env = check_src("def a : U := {t : I | TOP};\n")
