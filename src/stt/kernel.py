@@ -939,7 +939,6 @@ def check_module(
     env: dict[str, EnvEntry],
     solver: Optional[topes.Solver] = None,
     parse_diagnostics: Optional[list[Diagnostic]] = None,
-    strategy: str = "leftmost",
 ) -> tuple[CheckReport, dict[str, EnvEntry]]:
     """Fold declaration checking over a module.
 

@@ -515,10 +515,16 @@ def parse_module(
             p.next()
             p.synchronize()
             continue
+        head = p.peek()
         try:
             decl = p.declaration()
         except ParseError as e:
             diags.append(e.diagnostic)
+            p.synchronize()
+            continue
+        except RecursionError:
+            diags.append(Diagnostic(
+                "error", "PARSE", "nesting too deep", path, head.span))
             p.synchronize()
             continue
         if decl.name in seen:

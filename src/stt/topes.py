@@ -1,24 +1,38 @@
 """Decision procedure for tope entailment over the strict interval.
 
-The reference semantics is classical satisfaction over finite chains:
+The semantics is classical satisfaction over finite chains:
 ``entails(ctx, hyps, goal)`` holds iff every weak ordering (ordered set
-partition) of the interval atoms together with the endpoints 0 < 1
-satisfying ``hyps`` also satisfies ``goal``.  Connections evaluate as
-min/max, ``==`` and ``<=`` through the ordering.
+partition) of the interval atoms together with the endpoints 0 < 1, 0 least
+and 1 greatest, that satisfies ``hyps`` also satisfies ``goal``.
+Connections evaluate as min/max, ``==`` and ``<=`` through the ordering.
 
 Product cubes are flattened to tuples of interval atoms before solving;
 projections compute away on pair literals and otherwise select component
-atoms of a variable.  ``oracle_entails`` is an independent check that
-evaluates formulas over the grid {0, 1} | {i/(k+1)} instead; both must
-agree wherever the oracle is defined.
+atoms of a variable.
+
+No ordering is enumerated.  ``hyps`` and the negation of ``goal`` are put
+in negation normal form over order literals ``p <= q`` and ``p < q``
+between atoms and endpoints: min and max distribute into disjunctions and
+conjunctions of literals, and ``not (p <= q)`` is ``q < p``.  A DPLL-style
+search adds literals to per-point bitmask closures of ``<=`` and ``<``,
+which start from 0 <= x <= 1 and 0 < 1, and splits on an undecided literal
+and its negation.  A branch dies when a strict cycle appears, and the
+entailment holds iff no branch survives.  A set of order literals without a
+strict cycle always has a model, so a branch that survives gives a
+counter-model.
+
+The trace reports ``branches``, the number of models of the query's k
+atoms: 4 * Fubini(k) - 1 for k >= 1 and 1 for k = 0.  It depends on k only.
+The independent oracle, which evaluates formulas over a numeric grid, is a
+test oracle and lives in ``tests/tope_oracle.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
-
-import numpy as np
+from functools import cache
+from math import comb
+from typing import Callable, Optional
 
 from .syntax import (
     CubeSort, Cube0, Cube1, CubeStar, Fst, Interval, Join, Meet, Pair,
@@ -186,125 +200,186 @@ def _sort_key(sort: CubeSort):
 
 
 # ---------------------------------------------------------------------------
-# model enumeration
+# the decision: case split over order literals
+#
+# Points are the k atoms, the endpoint 0 (point k) and the endpoint 1
+# (point k+1).  Formulas in negation normal form are True, False, literals
+# (_LE, p, q) for p <= q and (_LT, p, q) for p < q, and (_AND | _OR, parts).
 
-_weak_order_cache: dict[int, list[np.ndarray]] = {}
-_CHUNK = 1 << 15
-
-
-def _weak_orderings(n: int) -> Iterator[np.ndarray]:
-    """All weak orderings of n elements as level vectors, in chunks."""
-    if n == 0:
-        yield np.zeros((1, 0), dtype=np.int8)
-        return
-    if n in _weak_order_cache:
-        yield from _weak_order_cache[n]
-        return
-    chunks: list[np.ndarray] = []
-    buf: list[list[int]] = []
-
-    def emit(levels: list[int]):
-        buf.append(list(levels))
-        if len(buf) >= _CHUNK:
-            chunks.append(np.array(buf, dtype=np.int8))
-            buf.clear()
-
-    def place(i: int, levels: list[int], nlevels: int):
-        if i == n:
-            emit(levels)
-            return
-        for lv in range(nlevels):  # join an existing block
-            levels.append(lv)
-            place(i + 1, levels, nlevels)
-            levels.pop()
-        for gap in range(nlevels + 1):  # open a new block at any gap
-            bumped = [lv + 1 if lv >= gap else lv for lv in levels]
-            bumped.append(gap)
-            place(i + 1, bumped, nlevels + 1)
-
-    place(0, [], 0)
-    if buf:
-        chunks.append(np.array(buf, dtype=np.int8))
-    if n <= 8:
-        _weak_order_cache[n] = chunks
-    yield from chunks
+_LE, _LT, _AND, _OR = 0, 1, 2, 3
 
 
-_entail_model_cache: dict[int, list[np.ndarray]] = {}
-_grid_model_cache: dict[int, list[np.ndarray]] = {}
+def _connect(tag: int, left, right):
+    """The conjunction or disjunction of two formulas, folding the constants
+    and flattening nested parts of the same connective."""
+    unit = tag == _AND
+    if left is unit:
+        return right
+    if right is unit:
+        return left
+    if left is (not unit) or right is (not unit):
+        return not unit
+    return (tag, (left[1] if left[0] == tag else (left,))
+            + (right[1] if right[0] == tag else (right,)))
 
 
-def _entail_models(k: int) -> Iterator[np.ndarray]:
-    """Level assignments for k atoms plus columns for 0 and 1.  The endpoints
-    interpret the chain's distinguished bottom and top, so 0's block is the
-    least, 1's block the greatest, and they are strictly apart.  Column k is
-    the endpoint 0, column k+1 is 1."""
-    cached = _entail_model_cache.get(k)
-    if cached is not None:
-        yield from cached
-        return
-    chunks: list[np.ndarray] = []
-    for chunk in _weak_orderings(k + 2):
-        sel = (
-            (chunk[:, k] < chunk[:, k + 1])
-            & (chunk[:, k] == chunk.min(axis=1))
-            & (chunk[:, k + 1] == chunk.max(axis=1))
-        )
-        if sel.any():
-            chunks.append(np.ascontiguousarray(chunk[sel].T))
-    if k <= 6:
-        _entail_model_cache[k] = chunks
-    yield from chunks
+def _fold(v: tuple, k: int):
+    """An interval value with its leaves as points and the endpoint laws
+    applied: 0 absorbs min and is the unit of max, dually for 1."""
+    tag = v[0]
+    if tag == "atom":
+        return v[1]
+    if tag == "const":
+        return k + v[1]
+    a, b = _fold(v[1], k), _fold(v[2], k)
+    absorbing, unit = (k, k + 1) if tag == "min" else (k + 1, k)
+    if a == absorbing or b == absorbing:
+        return absorbing
+    if a == unit or a == b:
+        return b
+    if b == unit:
+        return a
+    return (tag, a, b)
 
 
-def _grid_models(k: int) -> Iterator[np.ndarray]:
-    """The oracle's grid: atoms range over k+2 levels freely; endpoints are
-    pinned to the extremes."""
-    cached = _grid_model_cache.get(k)
-    if cached is not None:
-        yield from cached
-        return
-    if k == 0:
-        grids = np.zeros((1, 0), dtype=np.int8)
+def _compare(a, b, strict: bool, k: int):
+    """a <= b (a < b if strict) for folded values: min(a,b) <= c iff
+    a <= c or b <= c, c <= min(a,b) iff c <= a and c <= b, dually for max."""
+    if type(a) is tuple:
+        return _connect(_OR if a[0] == "min" else _AND,
+                        _compare(a[1], b, strict, k), _compare(a[2], b, strict, k))
+    if type(b) is tuple:
+        return _connect(_AND if b[0] == "min" else _OR,
+                        _compare(a, b[1], strict, k), _compare(a, b[2], strict, k))
+    if strict:
+        if a == b or a == k + 1 or b == k:
+            return False
+        return True if a == k and b == k + 1 else (_LT, a, b)
+    if a == b or a == k or b == k + 1:
+        return True
+    return False if a == k + 1 and b == k else (_LE, a, b)
+
+
+def _nnf(f: tuple, positive: bool, k: int):
+    """f (not f unless positive) in negation normal form over literals, with
+    not (p <= q) iff q < p."""
+    tag = f[0]
+    if tag == "top":
+        return positive
+    if tag == "bot":
+        return not positive
+    if tag == "and" or tag == "or":
+        both = _AND if (tag == "and") == positive else _OR
+        return _connect(both, _nnf(f[1], positive, k), _nnf(f[2], positive, k))
+    a, b = _fold(f[1], k), _fold(f[2], k)
+    if tag == "leq":
+        return _compare(a, b, False, k) if positive else _compare(b, a, True, k)
+    if positive:
+        return _connect(_AND, _compare(a, b, False, k), _compare(b, a, False, k))
+    return _connect(_OR, _compare(b, a, True, k), _compare(a, b, True, k))
+
+
+def _assert(le: list[int], lt: list[int], lit: tuple) -> bool:
+    """Add a literal to the closures; False if it closes a strict cycle.
+
+    Bit q of le[p] records p <= q, bit q of lt[p] records p < q; both are
+    transitively closed, and lt[p] is a subset of le[p]."""
+    strict, p, q = lit
+    if strict:
+        if lt[p] >> q & 1:
+            return True
+        if le[q] >> p & 1:
+            return False
     else:
-        axes = np.meshgrid(*[np.arange(k + 2, dtype=np.int8)] * k, indexing="ij")
-        grids = np.stack([a.reshape(-1) for a in axes], axis=1)
-    zero = np.zeros((grids.shape[0], 1), dtype=np.int8)
-    one = np.full((grids.shape[0], 1), k + 1, dtype=np.int8)
-    chunks = [np.ascontiguousarray(np.concatenate([grids, zero, one], axis=1).T)]
-    if k <= 6:
-        _grid_model_cache[k] = chunks
-    yield from chunks
+        if le[p] >> q & 1:
+            return True
+        if lt[q] >> p & 1:
+            return False
+    up, up_strict, bit = le[q], lt[q], 1 << p
+    for x in range(len(le)):
+        if le[x] & bit:
+            le[x] |= up
+            lt[x] |= up if strict or lt[x] & bit else up_strict
+    return True
 
 
-def _eval_value(tree: tuple, rows: np.ndarray, k: int) -> np.ndarray:
-    match tree[0]:
-        case "atom":
-            return rows[tree[1]]
-        case "const":
-            return rows[k + tree[1]]
-        case "min":
-            return np.minimum(_eval_value(tree[1], rows, k), _eval_value(tree[2], rows, k))
-        case "max":
-            return np.maximum(_eval_value(tree[1], rows, k), _eval_value(tree[2], rows, k))
-    raise SortError(f"non-interval value in formula: {tree[0]}")
+def _simplify(f, le: list[int], lt: list[int]):
+    """f with the literals the closures decide replaced by True or False."""
+    tag = f[0]
+    if tag == _LE:
+        if le[f[1]] >> f[2] & 1:
+            return True
+        return False if lt[f[2]] >> f[1] & 1 else f
+    if tag == _LT:
+        if lt[f[1]] >> f[2] & 1:
+            return True
+        return False if le[f[2]] >> f[1] & 1 else f
+    unit = tag == _AND
+    kept = []
+    for part in f[1]:
+        r = _simplify(part, le, lt)
+        if r is True or r is False:
+            if r is unit:
+                continue
+            return r
+        kept.extend(r[1] if r[0] == tag else (r,))
+    if not kept:
+        return unit
+    return kept[0] if len(kept) == 1 else (tag, tuple(kept))
 
 
-def _eval_formula(f: tuple, rows: np.ndarray, k: int) -> np.ndarray:
-    match f[0]:
-        case "top":
-            return np.ones(rows.shape[1], dtype=bool)
-        case "bot":
-            return np.zeros(rows.shape[1], dtype=bool)
-        case "and":
-            return _eval_formula(f[1], rows, k) & _eval_formula(f[2], rows, k)
-        case "or":
-            return _eval_formula(f[1], rows, k) | _eval_formula(f[2], rows, k)
-        case "leq":
-            return _eval_value(f[1], rows, k) <= _eval_value(f[2], rows, k)
-        case "eq":
-            return _eval_value(f[1], rows, k) == _eval_value(f[2], rows, k)
-    raise AssertionError(f[0])
+def _satisfiable(f, le: list[int], lt: list[int]) -> bool:
+    """Some total order of the points satisfies f and every relation that
+    the closures record.
+
+    Literals that f asserts outright are added first; then a branch adds
+    the first undecided literal and the other branch adds its negation, so
+    the branches split the models and every branch stays consistent."""
+    while True:
+        f = _simplify(f, le, lt)
+        if f is True or f is False:
+            return f
+        if f[0] == _AND:
+            units = [part for part in f[1] if part[0] <= _LT]
+        else:
+            units = [f] if f[0] <= _LT else []
+        if units:
+            if not all(_assert(le, lt, lit) for lit in units):
+                return False
+            continue
+        lit = f
+        while lit[0] > _LT:
+            lit = lit[1][0]
+        left_le, left_lt = le[:], lt[:]
+        if _assert(left_le, left_lt, lit) and _satisfiable(f, left_le, left_lt):
+            return True
+        # not (p <= q) is q < p, and not (p < q) is q <= p
+        if not _assert(le, lt, (1 - lit[0], lit[2], lit[1])):
+            return False
+
+
+def _decide(k: int, hf: tuple, gf: tuple) -> bool:
+    """hf entails gf iff hf and not gf have no model: no total order of the
+    points with 0 least, 1 greatest and 0 < 1 satisfies both."""
+    f = _connect(_AND, _nnf(hf, True, k), _nnf(gf, False, k))
+    if f is True or f is False:
+        return not f
+    one = k + 1
+    le = [1 << x | 1 << one for x in range(k)] + [(1 << (k + 2)) - 1, 1 << one]
+    lt = [0] * k + [1 << one, 0]
+    return not _satisfiable(f, le, lt)
+
+
+@cache
+def _model_count(k: int) -> int:
+    """Models of k atoms: weak orderings of the atoms and 0 < 1 with 0's
+    block least and 1's block greatest, 4 * Fubini(k) - 1 for k >= 1."""
+    if k == 0:
+        return 1
+    fubini = [1]
+    for m in range(1, k + 1):
+        fubini.append(sum(comb(m, i) * fubini[m - i] for i in range(1, m + 1)))
+    return 4 * fubini[k] - 1
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +443,7 @@ class Solver:
         if cached is not None:
             result, branches = cached
         else:
-            result, branches = self._decide(k, hf, gf)
+            result, branches = _decide(k, hf, gf), _model_count(k)
             self.memo[key] = (result, branches)
         if self.trace is not None:
             from .printer import print_cube_context, print_tope
@@ -384,19 +459,6 @@ class Solver:
                 )
             )
         return result
-
-    @staticmethod
-    def _decide(k: int, hf: tuple, gf: tuple) -> tuple[bool, int]:
-        branches = 0
-        for rows in _entail_models(k):
-            branches += rows.shape[1]
-            h = _eval_formula(hf, rows, k)
-            if not h.any():
-                continue
-            g = _eval_formula(gf, rows, k)
-            if not (g | ~h).all():
-                return False, branches
-        return True, branches
 
     # -- derived operations --------------------------------------------------
 
@@ -435,24 +497,3 @@ class Solver:
 class MismatchError(Exception):
     """Shapes compared over incompatible cube contexts."""
 
-
-def oracle_entails(
-    ctx: tuple[tuple[str, CubeSort], ...],
-    hyps: Tope,
-    goal: Tope,
-    capacity: int = 4,
-) -> bool:
-    """Independent oracle: evaluate hyps -> goal over every assignment of the
-    atoms into the chain 0 < 1/(k+1) < ... < k/(k+1) < 1."""
-    fl = _Flattener(tuple(ctx))
-    hf = fl.formula(hyps)
-    gf = fl.formula(goal)
-    k = len(fl.atoms)
-    if k > capacity:
-        raise CapacityError(f"{k} interval variables exceed the oracle bound {capacity}")
-    for rows in _grid_models(k):
-        h = _eval_formula(hf, rows, k)
-        g = _eval_formula(gf, rows, k)
-        if not (g | ~h).all():
-            return False
-    return True

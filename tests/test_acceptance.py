@@ -22,7 +22,8 @@ from stt.syntax import (
     Cube0, Cube1, INTERVAL, Join, Meet, TOP, BOT, TopeAnd, TopeEq, TopeLeq,
     TopeOr, Var, alpha_eq,
 )
-from stt.topes import Shape, Solver, oracle_entails
+from stt.topes import Shape, Solver
+from tope_oracle import oracle_entails
 
 I = INTERVAL
 

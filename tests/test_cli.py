@@ -3,10 +3,12 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
-from conftest import CORPUS, NEGATIVE
+from conftest import CORPUS, NEGATIVE, REPO
 
 GOLDEN_STT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden_eq.stt")
 
@@ -15,6 +17,13 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return str(p)
+
+
+def run_python(*args):
+    """Run a fresh interpreter with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 class TestExitCodes:
@@ -54,6 +63,32 @@ class TestExitCodes:
         assert run_cli(bad)[0] == 1
         assert run_cli(good, bad)[0] == 1
         assert run_cli(str(tmp_path / "none.stt"))[0] == 2
+
+
+class TestRobustness:
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json"])
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, flags):
+        depth = 20_000
+        f = write(tmp_path, "deep.stt",
+                  "def a : U1 := U;\n"
+                  "def x : U := " + "(" * depth + "U" + ")" * depth + ";\n")
+        proc = run_python("-m", "stt.cli", "check", f, "--no-cache", *flags)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        if flags:
+            (obj,) = [json.loads(line) for line in proc.stdout.splitlines()]
+            assert [(d["code"], d["message"]) for d in obj["diagnostics"]] == [
+                ("PARSE", "nesting too deep")]
+            assert obj["stats"]["declarations_checked"] == 1
+        else:
+            assert "error[PARSE]: nesting too deep" in proc.stdout
+            assert "deep: failed (1 declarations" in proc.stdout
+
+    def test_import_leaves_numpy_out(self):
+        proc = run_python(
+            "-c", "import sys, stt.cli; print('numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestImports:

@@ -1,5 +1,8 @@
 """Tope solver: worked examples, order and lattice axioms, oracle agreement."""
 
+import time
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,9 +10,8 @@ from stt.syntax import (
     Cube0, Cube1, Fst, INTERVAL, Interval, Join, Meet, Pair, ProdCube, Snd,
     TOP, BOT, TopeAnd, TopeEq, TopeLeq, TopeOr, Var,
 )
-from stt.topes import (
-    CapacityError, MismatchError, Shape, Solver, SortError, oracle_entails,
-)
+from stt.topes import CapacityError, MismatchError, Shape, Solver, SortError
+from tope_oracle import oracle_entails
 
 I = INTERVAL
 t, s, x, y, z = Var("t"), Var("s"), Var("x"), Var("y"), Var("z")
@@ -94,6 +96,29 @@ class TestEntails:
         # componentwise equality reassembles the pair
         assert solver.entails(
             ctx, TOP, eq(p, Pair(Fst(p), Snd(p))))
+
+    def test_seven_and_eight_atoms_are_cheap(self):
+        # the join of the atoms is one of them: refuting the negation needs
+        # case splits over every pair of atoms
+        start = time.perf_counter()
+        for k in (7, 8):
+            xs = [Var(f"v{i}") for i in range(k)]
+            ctx = tuple((f"v{i}", I) for i in range(k))
+            join = reduce(Join, xs)
+            solver = Solver()
+            assert solver.entails(ctx, TOP, reduce(TopeOr, [eq(join, v) for v in xs]))
+            assert not solver.entails(
+                ctx, TOP, reduce(TopeOr, [eq(join, v) for v in xs[1:]]))
+        assert time.perf_counter() - start < 2.0
+
+    def test_branches_count_models(self):
+        # weak orderings of k atoms and 0 < 1, 0 least and 1 greatest
+        lines = []
+        solver = Solver(trace=lines.append)
+        for k in range(7):
+            solver.entails(tuple((f"v{i}", I) for i in range(k)), TOP, TOP)
+        assert [int(line.rsplit("branches=", 1)[1].rstrip(")")) for line in lines] == [
+            1, 3, 11, 51, 299, 2163, 18731]
 
     def test_memo_and_trace(self):
         lines = []
@@ -203,8 +228,8 @@ class TestOracle:
             oracle_entails(ctx, TOP, TOP)
 
 
-# random formulas over up to 4 interval variables
-_names = ["x", "y", "z", "w"]
+# random formulas over up to 6 interval variables
+_names = ["x", "y", "z", "w", "u", "v"]
 
 
 def _cube_terms(var_count):
@@ -240,6 +265,17 @@ def test_oracle_agreement_random(data):
     goal = data.draw(_topes(k))
     solver = Solver()
     assert solver.entails(ctx, hyps, goal) == oracle_entails(ctx, hyps, goal)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_oracle_agreement_five_and_six_atoms(data):
+    k = data.draw(st.integers(min_value=5, max_value=6))
+    ctx = tuple((n, I) for n in _names[:k])
+    hyps = data.draw(_topes(k))
+    goal = data.draw(_topes(k))
+    assert Solver().entails(ctx, hyps, goal) == oracle_entails(
+        ctx, hyps, goal, capacity=6)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,0 +1,89 @@
+"""Independent oracle for tope entailment, used by the tests only.
+
+``oracle_entails`` flattens a query with the solver's own ``_Flattener``
+and evaluates hyps -> goal with numpy over the grid {0, 1} | {i/(k+1)}:
+every assignment of the k atoms into the chain 0 < 1/(k+1) < ... < 1.
+It shares no decision code with ``stt.topes.Solver``.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+import numpy as np
+
+from stt.topes import CapacityError, SortError, _Flattener
+
+_grid_model_cache: dict[int, list[np.ndarray]] = {}
+
+
+def _grid_models(k: int) -> Iterator[np.ndarray]:
+    """The oracle's grid: atoms range over k+2 levels freely; endpoints are
+    pinned to the extremes."""
+    cached = _grid_model_cache.get(k)
+    if cached is not None:
+        yield from cached
+        return
+    if k == 0:
+        grids = np.zeros((1, 0), dtype=np.int8)
+    else:
+        axes = np.meshgrid(*[np.arange(k + 2, dtype=np.int8)] * k, indexing="ij")
+        grids = np.stack([a.reshape(-1) for a in axes], axis=1)
+    zero = np.zeros((grids.shape[0], 1), dtype=np.int8)
+    one = np.full((grids.shape[0], 1), k + 1, dtype=np.int8)
+    chunks = [np.ascontiguousarray(np.concatenate([grids, zero, one], axis=1).T)]
+    if k <= 6:
+        _grid_model_cache[k] = chunks
+    yield from chunks
+
+
+def _eval_value(tree: tuple, rows: np.ndarray, k: int) -> np.ndarray:
+    match tree[0]:
+        case "atom":
+            return rows[tree[1]]
+        case "const":
+            return rows[k + tree[1]]
+        case "min":
+            return np.minimum(_eval_value(tree[1], rows, k), _eval_value(tree[2], rows, k))
+        case "max":
+            return np.maximum(_eval_value(tree[1], rows, k), _eval_value(tree[2], rows, k))
+    raise SortError(f"non-interval value in formula: {tree[0]}")
+
+
+def _eval_formula(f: tuple, rows: np.ndarray, k: int) -> np.ndarray:
+    match f[0]:
+        case "top":
+            return np.ones(rows.shape[1], dtype=bool)
+        case "bot":
+            return np.zeros(rows.shape[1], dtype=bool)
+        case "and":
+            return _eval_formula(f[1], rows, k) & _eval_formula(f[2], rows, k)
+        case "or":
+            return _eval_formula(f[1], rows, k) | _eval_formula(f[2], rows, k)
+        case "leq":
+            return _eval_value(f[1], rows, k) <= _eval_value(f[2], rows, k)
+        case "eq":
+            return _eval_value(f[1], rows, k) == _eval_value(f[2], rows, k)
+    raise AssertionError(f[0])
+
+
+def oracle_entails(
+    ctx: tuple[tuple[str, CubeSort], ...],
+    hyps: Tope,
+    goal: Tope,
+    capacity: int = 4,
+) -> bool:
+    """Independent oracle: evaluate hyps -> goal over every assignment of the
+    atoms into the chain 0 < 1/(k+1) < ... < k/(k+1) < 1."""
+    fl = _Flattener(tuple(ctx))
+    hf = fl.formula(hyps)
+    gf = fl.formula(goal)
+    k = len(fl.atoms)
+    if k > capacity:
+        raise CapacityError(f"{k} interval variables exceed the oracle bound {capacity}")
+    for rows in _grid_models(k):
+        h = _eval_formula(hf, rows, k)
+        g = _eval_formula(gf, rows, k)
+        if not (g | ~h).all():
+            return False
+    return True
