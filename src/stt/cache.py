@@ -1,11 +1,29 @@
-"""Content-hash build cache for check results.
+"""Content-hash build cache for check results, with early cutoff.
 
-Keys cover the module's name, its absolute path and its source bytes, the
-keys of everything it imports (so any transitive byte change invalidates
-dependents), the tool version and the solver capacity.  Two modules with
-the same bytes therefore never share a report, whose module name and
-diagnostic spans name the file.  Corrupt entries degrade to misses and set
-``corrupt`` for the caller to report.
+A module has three hashes:
+
+* Its **source key** covers the tool version, the solver capacity, the
+  module's name, its absolute path and its source bytes.  Under it a
+  *header* entry records the names the module imports, in order, as the
+  parse of those bytes found them, so that a later run resolves imports
+  without parsing.
+* Its **report key** (``module_key``) is the source key plus the interface
+  hash of each import, in the order the module lists its imports.  Under it
+  the *report* entry holds the module's report and, when the report is
+  ``ok``, the module's interface hash.
+* Its **interface hash**, once it checks, covers what a dependent can
+  observe of it: the interface hashes of its imports, in import order
+  (which decides the winner of a name clash when their environments are
+  merged), then its own declarations in order: name, kind, module, printed
+  type and printed value.  Chaining the imports' hashes makes it cover the
+  whole environment a dependent sees.  Printing renames generated names, so
+  the hash does not depend on the fresh-name counter.
+
+A change that leaves a module's interface as it was (a comment, say) thus
+rechecks that module only: its dependents' report keys stay the same.  Two
+modules with the same bytes never share an entry, since the module name and
+the diagnostic spans of a report name the file.  A malformed entry is a
+miss and sets ``corrupt`` for the caller to report.
 """
 
 from __future__ import annotations
@@ -13,16 +31,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import __version__
-from .diagnostics import Diagnostic
-from .kernel import CheckReport
+from .diagnostics import CheckReport, Diagnostic
 
 
-def module_key(
-    name: str, path: str, source: bytes, import_keys: list[str], capacity: int,
-) -> str:
+def source_key(name: str, path: str, source: bytes, capacity: int) -> str:
     h = hashlib.sha256()
     h.update(f"stt:{__version__}:capacity={capacity}".encode())
     h.update(b"\x00module\x00")
@@ -31,26 +46,91 @@ def module_key(
     h.update(os.path.abspath(path).encode())
     h.update(b"\x00source\x00")
     h.update(source)
-    for k in sorted(import_keys):
+    return h.hexdigest()
+
+
+def module_key(skey: str, import_interfaces: list[str]) -> str:
+    """The report key: the source key ``skey`` and the imports' interface
+    hashes."""
+    h = hashlib.sha256(b"report\x00" + skey.encode())
+    for i in import_interfaces:
         h.update(b"\x00import\x00")
-        h.update(k.encode())
+        h.update(i.encode())
+    return h.hexdigest()
+
+
+def interface_hash(import_interfaces: list[str], entries: Iterable) -> str:
+    """The interface hash of a module that checked, from its imports'
+    interface hashes and its own environment entries in declaration order."""
+    from .printer import print_term  # only a module just checked is hashed
+
+    h = hashlib.sha256(b"interface")
+    for i in import_interfaces:
+        h.update(b"\x00import\x00")
+        h.update(i.encode())
+    for e in entries:
+        value = "" if e.value is None else print_term(e.value)
+        for part in (e.name, e.kind, e.module, print_term(e.type), value):
+            h.update(b"\x00")
+            h.update(part.encode())
     return h.hexdigest()
 
 
 class Cache:
-    def __init__(self, root: str):
+    """Header and report entries under ``root``, for one solver capacity.
+    ``hits`` and ``misses`` count report lookups."""
+
+    def __init__(self, root: str, capacity: int):
         self.root = root
+        self.capacity = capacity
         self.hits = 0
         self.misses = 0
         self.corrupt = False
 
-    def _path(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], key + ".json")
+    def _path(self, key: str, suffix: str) -> str:
+        return os.path.join(self.root, key[:2], key + suffix)
 
-    def load(self, key: str) -> Optional[CheckReport]:
+    def _read(self, path: str):
+        """The JSON at ``path``, or None if there is no such file."""
         try:
-            with open(self._path(key), "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+            with open(path, "r", encoding="utf-8") as fh:
+                return json.load(fh)
+        except FileNotFoundError:
+            return None
+
+    def _write(self, path: str, data: dict) -> None:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        tmp = path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, sort_keys=True)
+        os.replace(tmp, path)
+
+    def load_imports(self, key: str) -> Optional[list[str]]:
+        """The import names recorded under a source key, or None."""
+        try:
+            data = self._read(self._path(key, ".imports.json"))
+            if data is None:
+                return None
+            imports = data["imports"]
+            if not (isinstance(imports, list)
+                    and all(isinstance(i, str) for i in imports)):
+                raise ValueError("imports is not a list of names")
+            return imports
+        except Exception:  # any damaged entry is a miss
+            self.corrupt = True
+            return None
+
+    def store_imports(self, key: str, imports: list[str]) -> None:
+        self._write(self._path(key, ".imports.json"), {"imports": imports})
+
+    def load(self, key: str) -> Optional[tuple[CheckReport, Optional[str]]]:
+        """The report under a report key and, if it is ``ok``, the module's
+        interface hash; None on a miss."""
+        try:
+            data = self._read(self._path(key, ".json"))
+            if data is None:
+                self.misses += 1
+                return None
             report = CheckReport(
                 module=data["module"],
                 status=data["status"],
@@ -65,20 +145,19 @@ class Cache:
                     file=d["span"]["file"],
                     span=(d["span"]["start"], d["span"]["end"]),
                 ))
+            interface = data.get("interface") if report.ok else None
+            if report.ok and not isinstance(interface, str):
+                raise ValueError("an ok report without an interface hash")
             self.hits += 1
-            return report
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except Exception:
+            return report, interface
+        except Exception:  # any damaged entry is a miss
             self.misses += 1
             self.corrupt = True
             return None
 
-    def store(self, key: str, report: CheckReport) -> None:
-        path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, sort_keys=True)
-        os.replace(tmp, path)
+    def store(self, key: str, report: CheckReport,
+              interface: Optional[str]) -> None:
+        data = report.to_json()
+        if interface is not None:
+            data["interface"] = interface
+        self._write(self._path(key, ".json"), data)

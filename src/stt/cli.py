@@ -9,18 +9,22 @@ are byte-stable.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from .cache import Cache, module_key
-from .diagnostics import Diagnostic, render
-from .kernel import CheckReport, build_env, check_module
-from .parser import parse_module
-from .syntax import SourceModule
-from .topes import Solver
+from .cache import Cache, interface_hash, module_key, source_key
+from .diagnostics import CheckReport, Diagnostic, render
+
+if TYPE_CHECKING:
+    from .syntax import SourceModule
+
+# The parser, the kernel and the solver are imported where a module is
+# parsed or checked, so a run whose reports all come from the cache loads
+# none of them.
 
 
 @dataclass
@@ -42,10 +46,20 @@ class RunConfig:
 class ResolvedModule:
     name: str
     path: str
-    module: SourceModule
-    parse_diagnostics: list[Diagnostic]
-    imports: list[str]
     source: str
+    imports: list[str] = field(default_factory=list)
+    key: Optional[str] = None  # the source key, when a cache is used
+    module: Optional[SourceModule] = None
+    parse_diagnostics: list[Diagnostic] = field(default_factory=list)
+
+    def parse(self) -> SourceModule:
+        """The parsed module; the source is parsed on the first call only."""
+        if self.module is None:
+            from .parser import parse_module
+
+            self.module, self.parse_diagnostics = parse_module(
+                self.source, self.path, name=self.name)
+        return self.module
 
 
 class ResolveError(Exception):
@@ -62,9 +76,20 @@ def _find_module(name: str, search_paths: list[str]) -> Optional[str]:
     return None
 
 
-def resolve(targets: list[str], search_paths: list[str]) -> dict[str, ResolvedModule]:
+def _warn_if_corrupt(cache: Cache, name: str, action: str) -> None:
+    if cache.corrupt:
+        print(f"warning: corrupt cache entry for {name}; {action}",
+              file=sys.stderr)
+        cache.corrupt = False
+
+
+def resolve(
+    targets: list[str], search_paths: list[str], cache: Optional[Cache] = None,
+) -> dict[str, ResolvedModule]:
     """Load targets and their transitive imports; return them in dependency
-    order (every module after its imports)."""
+    order (every module after its imports).  A module's imports come from
+    the cache's header entry for its source, if there is one; otherwise the
+    module is parsed here, and the header is written."""
     modules: dict[str, ResolvedModule] = {}
     queue: list[tuple[str, str]] = []
     for t in targets:
@@ -86,13 +111,22 @@ def resolve(targets: list[str], search_paths: list[str]) -> dict[str, ResolvedMo
                 source = fh.read()
         except OSError as e:
             raise ResolveError(f"cannot read {path}: {e}") from e
-        mod, diags = parse_module(source, path, name=name)
-        resolved = ResolvedModule(
-            name=name, path=path, module=mod, parse_diagnostics=diags,
-            imports=[imp for imp, _ in mod.imports], source=source)
+        resolved = ResolvedModule(name=name, path=path, source=source)
+        header = None
+        if cache is not None:
+            resolved.key = source_key(
+                name, path, source.encode(), cache.capacity)
+            header = cache.load_imports(resolved.key)
+            _warn_if_corrupt(cache, name, "reparsing")
+        if header is not None:
+            resolved.imports = header
+        else:
+            resolved.imports = [imp for imp, _ in resolved.parse().imports]
+            if cache is not None:
+                cache.store_imports(resolved.key, resolved.imports)
         modules[name] = resolved
         local_paths = [os.path.dirname(path)] + search_paths
-        for imp, span in mod.imports:
+        for imp in resolved.imports:
             found = _find_module(imp, local_paths)
             if found is None:
                 raise ResolveError(
@@ -121,22 +155,36 @@ def resolve(targets: list[str], search_paths: list[str]) -> dict[str, ResolvedMo
 
 def check_modules(
     modules: dict[str, ResolvedModule],
-    solver: Solver,
+    capacity: int = 8,
     cache: Optional[Cache] = None,
+    trace: Optional[Callable[[str], None]] = None,
 ) -> dict[str, CheckReport]:
     """Check modules given in dependency order, one at a time.
 
-    A module with a failed import is not checked.  With a cache, a hit is
-    replayed: its report is reused and, if it checked, its declarations are
-    added to the environment without checking their bodies again.
+    A module with a failed import is not checked.  With a cache, a module
+    whose report key hits is neither parsed nor checked: its report is
+    reused.  A module is parsed, and its environment built, only when it or
+    a module that imports it is checked; a module read from the cache then
+    replays its declarations through ``build_env``.  The solver, with
+    ``trace`` as its query log, is made for the first module checked.
     """
-    keys: dict[str, str] = {}
-    envs: dict[str, dict] = {}
     reports: dict[str, CheckReport] = {}
+    interfaces: dict[str, Optional[str]] = {}
+    envs: dict[str, dict] = {}
+    solver = None
+
+    def imported_env(resolved: ResolvedModule) -> dict:
+        env: dict = {}
+        for imp in resolved.imports:
+            if imp not in envs:
+                from .kernel import build_env
+
+                envs[imp] = build_env(
+                    modules[imp].parse(), imported_env(modules[imp]), solver)
+            env.update(envs[imp])
+        return env
+
     for name, resolved in modules.items():
-        keys[name] = module_key(
-            name, resolved.path, resolved.source.encode(),
-            [keys[i] for i in resolved.imports], solver.capacity)
         failed_imports = sorted(
             imp for imp in resolved.imports if reports[imp].status != "ok")
         if failed_imports:
@@ -147,46 +195,48 @@ def check_modules(
                 resolved.path, (0, 0)))
             reports[name] = report
             continue
-        env: dict = {}
-        for imp in resolved.imports:
-            env.update(envs[imp])
-        report = None
         if cache is not None:
-            report = cache.load(keys[name])
-            if cache.corrupt:
-                print(f"warning: corrupt cache entry for {name}; rechecking",
-                      file=sys.stderr)
-                cache.corrupt = False
-        if report is not None:
-            env_out = (
-                build_env(resolved.module, env, solver)
-                if report.status == "ok" else {}
-            )
-        else:
-            report, env_out = check_module(
-                resolved.module, env, solver,
-                parse_diagnostics=resolved.parse_diagnostics)
-            if cache is not None:
-                cache.store(keys[name], report)
-        reports[name], envs[name] = report, env_out
+            import_interfaces = [interfaces[imp] for imp in resolved.imports]
+            key = module_key(resolved.key, import_interfaces)
+            hit = cache.load(key)
+            _warn_if_corrupt(cache, name, "rechecking")
+            if hit is not None:
+                reports[name], interfaces[name] = hit
+                continue
+        from .kernel import check_module
+
+        if solver is None:
+            from .topes import Solver
+
+            solver = Solver(capacity=capacity, trace=trace)
+        module = resolved.parse()
+        env = imported_env(resolved)
+        report, envs[name] = check_module(
+            module, env, solver, parse_diagnostics=resolved.parse_diagnostics)
+        if cache is not None:
+            # check_module extends env with the module's own entries, in order
+            own = itertools.islice(envs[name].values(), len(env), None)
+            interfaces[name] = (
+                interface_hash(import_interfaces, own) if report.ok else None)
+            cache.store(key, report, interfaces[name])
+        reports[name] = report
     return reports
 
 
 def run(config: RunConfig) -> int:
     """Check the target modules; return the process exit code."""
     out = sys.stdout
+    cache = None if config.no_cache else Cache(config.cache_dir, config.capacity)
     try:
-        modules = resolve(config.targets, config.search_paths)
+        modules = resolve(config.targets, config.search_paths, cache)
     except ResolveError as e:
         print(f"error[IMPORT]: {e.message}", file=sys.stderr)
         return 2
 
-    solver = Solver(capacity=config.capacity)
     trace_lines: list[str] = []
-    if config.trace_tope:
-        solver.trace = trace_lines.append
-    cache = None if config.no_cache else Cache(config.cache_dir)
-    reports = check_modules(modules, solver, cache)
+    reports = check_modules(
+        modules, config.capacity, cache,
+        trace_lines.append if config.trace_tope else None)
 
     failed = False
     for name in sorted(reports):

@@ -19,7 +19,6 @@ from typing import Optional
 
 from .cli import check_modules, resolve
 from .kernel import ALLOWED_POSTULATES, CheckReport  # noqa: F401 (re-exported)
-from .topes import Solver
 
 
 @dataclass(eq=False)
@@ -57,8 +56,8 @@ def corpus_manifest(base: Optional[str] = None) -> list[CorpusUnit]:
         CorpusUnit(
             file=m.path,
             name=m.name,
-            tier=(m.module.directives.get("tier") or ["T2"])[0],
-            anchors=m.module.directives.get("thm", []),
+            tier=(m.parse().directives.get("tier") or ["T2"])[0],
+            anchors=m.parse().directives.get("thm", []),
             depends_on=m.imports,
         )
         for m in modules.values() if m.name != "all"
@@ -70,7 +69,7 @@ def verify_corpus(units: list[CorpusUnit]) -> CheckReport:
     and fold the module reports into one."""
     total = CheckReport(module="corpus", status="ok")
     modules = resolve([u.file for u in units], [])
-    for report in check_modules(modules, Solver()).values():
+    for report in check_modules(modules).values():
         total.diagnostics.extend(report.diagnostics)
         total.declarations_checked += report.declarations_checked
         total.solver_queries += report.solver_queries

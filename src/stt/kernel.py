@@ -17,23 +17,20 @@ module state.
 
 from __future__ import annotations
 
-import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import topes
-from .diagnostics import Diagnostic
+from .diagnostics import CheckReport, Diagnostic
 from .printer import print_term, print_tope
 from .syntax import (
     App, Cube0, Cube1, CubeSort, CubeStar, Declaration, Extension, Fst,
     IdType, Interval, JElim, Join, Lam, Meet, Pair, Pi, RecBot, RecOr, Refl,
     ShapeTy, Sigma, Snd, SourceModule, Term, Tope, TopeAnd, TopeBinder,
-    TopeBot, TopeOr, TopeTop, TypedBinder, Universe, Var, free_vars,
-    fresh_name, subst,
+    TopeBot, TopeOr, TopeTop, TypedBinder, Universe, Var, allow_deep_recursion,
+    free_vars, fresh_name, subst,
 )
-
-sys.setrecursionlimit(100_000)
 
 BOT = TopeBot()
 TOP = TopeTop()
@@ -126,31 +123,6 @@ class EnvEntry:
     module: str
 
 
-@dataclass(eq=False)
-class CheckReport:
-    module: str
-    status: str  # "ok" | "failed"
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    declarations_checked: int = 0
-    solver_queries: int = 0
-    wall_time: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-    def to_json(self) -> dict:
-        return {
-            "module": self.module,
-            "status": self.status,
-            "diagnostics": [d.to_json() for d in self.diagnostics],
-            "stats": {
-                "declarations_checked": self.declarations_checked,
-                "solver_queries": self.solver_queries,
-            },
-        }
-
-
 # ---------------------------------------------------------------------------
 # the checker
 
@@ -169,6 +141,7 @@ class Checker:
         self.strategy = strategy
         self.queries = 0
         self._span_stack: list[tuple[int, int]] = []
+        allow_deep_recursion()
 
     # -- spans ----------------------------------------------------------------
 

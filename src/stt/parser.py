@@ -23,7 +23,7 @@ from .syntax import (
     Interval, JElim, Join, Lam, Meet, Pair, Pi, ProdCube, RecBot, RecOr,
     Refl, ShapeTy, Sigma, Snd, SourceModule, Term, Tope, TopeAnd, TopeBinder,
     TopeBot, TopeEq, TopeLeq, TopeOr, TopeTop, TypedBinder, Universe,
-    UnitCube, Var, fresh_name, subst,
+    UnitCube, Var, allow_deep_recursion, fresh_name, subst,
 )
 
 _DIRECTIVE_RE = re.compile(r"^\s*--@(\w+)\s*(.*?)\s*$", re.MULTILINE)
@@ -43,6 +43,7 @@ class Parser:
         self.pos = 0
         self.path = path
         self.module = module
+        allow_deep_recursion()
 
     # -- token plumbing ------------------------------------------------------
 

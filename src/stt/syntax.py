@@ -16,6 +16,7 @@ stay uniform across layers.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -287,6 +288,21 @@ class SourceModule:
 
     def span_of(self, node: object) -> Optional[tuple[int, int]]:
         return self.span_table.get(id(node))
+
+
+# ---------------------------------------------------------------------------
+# recursion depth
+
+# Parsing, checking, printing and substitution recurse on the term tree, so a
+# deeply nested term needs far more frames than Python's default of 1000.
+RECURSION_LIMIT = 100_000
+
+
+def allow_deep_recursion() -> None:
+    """Raise the interpreter's recursion limit to ``RECURSION_LIMIT``; called
+    where parsing and checking begin, so that every entry point gets it."""
+    if sys.getrecursionlimit() < RECURSION_LIMIT:
+        sys.setrecursionlimit(RECURSION_LIMIT)
 
 
 # ---------------------------------------------------------------------------

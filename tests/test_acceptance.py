@@ -39,10 +39,11 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 def _random_query(rng):
     k = rng.randint(1, 4)
     names = [f"v{j}" for j in range(k)]
+    leaves = [Cube0(), Cube1()] + [Var(n) for n in names]
 
     def cube(depth):
         if depth == 0 or rng.random() < 0.4:
-            return rng.choice([Cube0(), Cube1()] + [Var(n) for n in names])
+            return rng.choice(leaves)
         a, b = cube(depth - 1), cube(depth - 1)
         return Meet(a, b) if rng.random() < 0.5 else Join(a, b)
 

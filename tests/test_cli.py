@@ -83,6 +83,29 @@ class TestRobustness:
         else:
             assert "error[PARSE]: nesting too deep" in proc.stdout
             assert "deep: failed (1 declarations" in proc.stdout
+            # the excerpt of the 40,015-column line is clipped to 120 columns
+            after_header = proc.stdout.splitlines()[1:]
+            assert max(len(line) for line in after_header) <= len("    ") + 120
+
+    def test_parser_alone_parses_deep_nesting(self):
+        proc = run_python("-c", (
+            "import stt.parser\n"
+            "depth = 300\n"
+            "src = 'def x : U := ' + '(' * depth + 'U' + ')' * depth + ';'\n"
+            "module, diags = stt.parser.parse_module(src)\n"
+            "print(len(module.declarations), len(diags))"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "0"]
+
+    def test_deep_file_checks_with_cold_and_warm_cache(self, tmp_path):
+        depth = 2_000
+        f = write(tmp_path, "deep.stt",
+                  "def x : U1 := " + "(" * depth + "U" + ")" * depth + ";\n")
+        cache = str(tmp_path / "cache")
+        for _ in ("cold", "warm"):
+            proc = run_python("-m", "stt.cli", "check", f, "--cache-dir", cache)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert proc.stdout.startswith("deep: ok (1 declarations")
 
     def test_import_leaves_numpy_out(self):
         proc = run_python(
@@ -215,6 +238,71 @@ class TestCache:
         code, out, _ = run_cli(b, "--json", cache_dir=cache)
         assert code == 0
         assert json.loads(out)["module"] == "b"
+
+    def test_comment_rechecks_only_its_module(self, run_cli, tmp_path, monkeypatch):
+        from stt.cache import Cache
+
+        base = tmp_path / "base.stt"
+        base.write_text("def X : U := {t : I | TOP};\n")
+        user = write(tmp_path, "user.stt", "import base;\ndef g (x : X) : X := x;\n")
+        cache = tmp_path / "cache"
+        first = run_cli(user, "--json", cache_dir=cache)
+        stored = []
+        store = Cache.store
+
+        def recording_store(self, key, report, interface):
+            stored.append(report.module)
+            store(self, key, report, interface)
+
+        monkeypatch.setattr(Cache, "store", recording_store)
+        base.write_text(base.read_text() + "-- a comment\n")
+        assert run_cli(user, "--json", cache_dir=cache) == first
+        assert stored == ["base"]
+
+    def test_interface_change_reaches_importers_of_importers(self, run_cli, tmp_path):
+        a = tmp_path / "A.stt"
+        a.write_text("def T : U := {t : I | TOP};\n")
+        write(tmp_path, "B.stt", "import A;\ndef S : U := T;\n")
+        c = write(tmp_path, "C.stt", "import B;\ndef c : S := 0;\n")
+        cache = tmp_path / "cache"
+        assert run_cli(c, "--json", cache_dir=cache)[0] == 0
+        # B's own entry prints the same, but the T it names has changed
+        a.write_text("def T : U := {t : I | t == 1};\n")
+        cached = run_cli(c, "--json", cache_dir=cache)
+        assert cached == run_cli(c, "--json")
+        code, out, _ = cached
+        reports = {r["module"]: r for r in map(json.loads, out.splitlines())}
+        assert code == 1
+        assert reports["B"]["status"] == "ok"
+        assert [d["code"] for d in reports["C"]["diagnostics"]] == ["CHECK"]
+
+    def test_malformed_header_is_miss(self, run_cli, tmp_path):
+        write(tmp_path, "base.stt", "def X : U := {t : I | TOP};\n")
+        user = write(tmp_path, "user.stt", "import base;\ndef g (x : X) : X := x;\n")
+        cache = tmp_path / "cache"
+        code, out, _ = run_cli(user, cache_dir=cache)
+        headers = list(cache.rglob("*.imports.json"))
+        assert len(headers) == 2
+        for p in headers:
+            p.write_text(json.dumps({"imports": 5}))
+        code2, out2, err = run_cli(user, cache_dir=cache)
+        assert code == code2 == 0 and out2 == out
+        assert "corrupt" in err
+
+    def test_warm_run_loads_neither_parser_nor_kernel(self, tmp_path):
+        write(tmp_path, "base.stt", "def X : U := {t : I | TOP};\n")
+        user = write(tmp_path, "user.stt", "import base;\ndef g (x : X) : X := x;\n")
+        args = ["check", user, "--cache-dir", str(tmp_path / "cache")]
+        assert run_python("-m", "stt.cli", *args).returncode == 0
+        proc = run_python("-c", (
+            "import sys, stt.cli\n"
+            f"code = stt.cli.main({args!r})\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('stt.')))"))
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
+        assert code == "0"
+        for heavy in ("parser", "lexer", "kernel", "topes", "syntax", "printer"):
+            assert f"'stt.{heavy}'" not in loaded
 
     def test_no_cache_bypasses(self, run_cli, tmp_path):
         f = write(tmp_path, "m.stt", "def a : U := {t : I | TOP};\n")
