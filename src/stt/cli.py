@@ -111,6 +111,9 @@ def resolve(
                 source = fh.read()
         except OSError as e:
             raise ResolveError(f"cannot read {path}: {e}") from e
+        except UnicodeDecodeError as e:
+            raise ResolveError(
+                f"cannot read {path}: not UTF-8 (byte {e.start})") from e
         resolved = ResolvedModule(name=name, path=path, source=source)
         header = None
         if cache is not None:
@@ -296,7 +299,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return run(config)
+    try:
+        code = run(config)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`stt check ... | head -1`): an I/O
+        # error.  Output still buffered goes to the null device, so the
+        # interpreter's own flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -11,6 +11,10 @@ eta (for Pi, Sigma and extension types), with three tope-sensitive rules:
   * collapse: under an inconsistent tope context any two terms of the same
     type are equal.
 
+Weak-head normalization reduces an application spine at once: a head
+that normalizes to n nested lambdas takes n arguments in one simultaneous
+substitution (`subst_many`), not one substitution per argument.
+
 Checking is pure per module; a shared solver memo table is the only cross
 module state.
 """
@@ -29,7 +33,7 @@ from .syntax import (
     IdType, Interval, JElim, Join, Lam, Meet, Pair, Pi, RecBot, RecOr, Refl,
     ShapeTy, Sigma, Snd, SourceModule, Term, Tope, TopeAnd, TopeBinder,
     TopeBot, TopeOr, TopeTop, TypedBinder, Universe, Var, allow_deep_recursion,
-    free_vars, fresh_name, subst,
+    free_vars, fresh_name, subst, subst_many,
 )
 
 BOT = TopeBot()
@@ -55,49 +59,93 @@ class CannotSynth(Exception):
 @dataclass(frozen=True)
 class Ctx:
     """Interleaved telescope of cube variables, tope constraints and typed
-    variables."""
+    variables.
+
+    A context is immutable, so it computes its name index, cube context,
+    hypothesis conjunction and first disjunctive split once each, on first
+    use, and keeps them as attributes that are not dataclass fields.  A
+    context made from another one starts with those of its parent's that
+    the change leaves as they are: the solver recognises a cube context it
+    has seen by identity."""
 
     entries: tuple = ()
 
     def bind_var(self, name: str, ty: Optional[Term]) -> "Ctx":
-        return Ctx(self.entries + (("var", name, ty),))
+        return self._derive(self.entries + (("var", name, ty),), "_cubes", "_conj")
 
     def bind_cube(self, name: str, sort: CubeSort) -> "Ctx":
-        return Ctx(self.entries + (("cube", name, sort),))
+        return self._derive(self.entries + (("cube", name, sort),), "_conj")
 
     def constrain(self, tope: Tope) -> "Ctx":
-        return Ctx(self.entries + (("tope", tope),))
+        return self._derive(self.entries + (("tope", tope),), "_cubes")
+
+    def _derive(self, entries: tuple, *kept: str) -> "Ctx":
+        ctx = Ctx(entries)
+        known = self.__dict__
+        for attr in kept:
+            if attr in known:
+                object.__setattr__(ctx, attr, known[attr])
+        return ctx
+
+    def _index(self) -> dict:
+        # a later binding of a name overwrites an earlier one
+        index = {e[1]: e for e in self.entries if e[0] != "tope"}
+        object.__setattr__(self, "_names", index)
+        return index
 
     def lookup(self, name: str):
-        for e in reversed(self.entries):
-            if e[0] in ("var", "cube") and e[1] == name:
-                return e
-        return None
+        try:
+            return self._names.get(name)
+        except AttributeError:
+            return self._index().get(name)
 
-    def names(self) -> set[str]:
-        return {e[1] for e in self.entries if e[0] in ("var", "cube")}
+    def names(self):
+        """The bound names, as a set-like view."""
+        try:
+            return self._names.keys()
+        except AttributeError:
+            return self._index().keys()
 
     def cube_context(self) -> tuple[tuple[str, CubeSort], ...]:
-        return tuple((e[1], e[2]) for e in self.entries if e[0] == "cube")
+        try:
+            return self._cubes
+        except AttributeError:
+            cubes = tuple((e[1], e[2]) for e in self.entries if e[0] == "cube")
+            object.__setattr__(self, "_cubes", cubes)
+            return cubes
 
     def hyps(self) -> Tope:
-        conj: Optional[Tope] = None
-        for e in self.entries:
-            if e[0] == "tope":
-                conj = e[1] if conj is None else TopeAnd(conj, e[1])
+        try:
+            conj = self._conj
+        except AttributeError:
+            conj = None
+            for e in self.entries:
+                if e[0] == "tope":
+                    conj = e[1] if conj is None else TopeAnd(conj, e[1])
+            object.__setattr__(self, "_conj", conj)
         return conj if conj is not None else TOP
 
     def split(self) -> Optional[tuple["Ctx", "Ctx"]]:
         """Split the first disjunctive tope constraint, if any."""
+        try:
+            return self._split
+        except AttributeError:
+            pass
+        found = None
         for i, e in enumerate(self.entries):
             if e[0] != "tope":
                 continue
             parts = _split_tope(e[1])
             if parts is not None:
-                left = Ctx(self.entries[:i] + (("tope", parts[0]),) + self.entries[i + 1:])
-                right = Ctx(self.entries[:i] + (("tope", parts[1]),) + self.entries[i + 1:])
-                return left, right
-        return None
+                before, after = self.entries[:i], self.entries[i + 1:]
+                # a split changes a tope only: the names and cubes stay
+                self.cube_context()
+                found = tuple(
+                    self._derive(before + (("tope", part),) + after, "_names", "_cubes")
+                    for part in parts)
+                break
+        object.__setattr__(self, "_split", found)
+        return found
 
 
 def _split_tope(t: Tope) -> Optional[tuple[Tope, Tope]]:
@@ -184,7 +232,7 @@ class Checker:
 
     def check_sorted(self, ctx: Ctx, tope: Tope) -> None:
         try:
-            topes._Flattener(ctx.cube_context()).formula(tope)
+            self.solver.flattener(ctx.cube_context()).formula(tope)
         except topes.SortError as e:
             raise KernelError("SORT", str(e), self.current_span())
 
@@ -217,7 +265,7 @@ class Checker:
 
     def cube_sort_of(self, ctx: Ctx, t: Term) -> CubeSort:
         try:
-            return topes._Flattener(ctx.cube_context()).sort_of(t)
+            return self.solver.flattener(ctx.cube_context()).sort_of(t)
         except topes.SortError as e:
             raise KernelError("SORT", str(e), self.current_span())
 
@@ -259,18 +307,38 @@ class Checker:
         while True:
             cls = type(t)
             if cls is App:
-                fw = self.whnf(ctx, t.fn)
-                a = t.arg
-                if self.strategy == "innermost":
-                    a = self.whnf(ctx, a)
-                if type(fw) is Lam:
-                    t = subst(fw.body, fw.binder, a)
-                    continue
-                red = self._boundary_reduce(ctx, fw, a)
-                if red is not None:
-                    t = red
-                    continue
-                return App(fw, a)
+                args = []
+                while type(t) is App:
+                    args.append(t.arg)
+                    t = t.fn
+                args.reverse()
+                head = self.whnf(ctx, t)
+                innermost = self.strategy == "innermost"
+                if type(head) is Lam:
+                    # beta: one Lam per argument, one substitution for all
+                    sigma = {}
+                    used = 0
+                    while type(head) is Lam and used < len(args):
+                        a = args[used]
+                        sigma[head.binder] = self.whnf(ctx, a) if innermost else a
+                        head = head.body
+                        used += 1
+                    t = subst_many(head, sigma)
+                else:
+                    # a neutral head takes its arguments one at a time,
+                    # each through boundary computation
+                    for used, a in enumerate(args, 1):
+                        if innermost:
+                            a = self.whnf(ctx, a)
+                        t = self._boundary_reduce(ctx, head, a)
+                        if t is not None:
+                            break
+                        head = App(head, a)
+                    else:
+                        return head
+                for a in args[used:]:
+                    t = App(t, a)
+                continue
             if cls is Var:
                 n = t.name
                 if ctx.lookup(n) is not None:

@@ -390,10 +390,14 @@ def _free_vars(t, out: set[str]) -> None:
 
 def subst(t, name: str, value: Term):
     """Capture-avoiding substitution of ``value`` for ``name`` in a term or
-    tope."""
-    if name not in free_vars(t):
+    tope.  Renaming ``name`` to itself returns ``t``, not a copy."""
+    if name not in free_vars(t) or _renames_to_itself(name, value):
         return t
     return _subst(t, name, value, free_vars(value))
+
+
+def _renames_to_itself(name: str, value: Term) -> bool:
+    return type(value) is Var and value.name == name
 
 
 def _open_binder(x: str, pieces, name: str, value, fvs):
@@ -485,6 +489,92 @@ def _rebuild(t, name, value, fvs):
             _subst(t.right, name, value, fvs),
         )
     raise AssertionError(f"free variable {name!r} in a {cls.__name__}")
+
+
+def subst_many(t, sigma: dict[str, Term]):
+    """Capture-avoiding simultaneous substitution of ``sigma[x]`` for every
+    free ``x`` in a term or tope.  One walk rebuilds each node once, where
+    a `subst` per name would rebuild the nodes above every name again.
+    Names that ``sigma`` renames to themselves are left out; where a single
+    name is left it is `subst`'s walk."""
+    return _subst_many(t, {x: v for x, v in sigma.items()
+                           if not _renames_to_itself(x, v)})
+
+
+def _subst_many(t, sigma):
+    try:
+        fv = t._fv
+    except AttributeError:
+        fv = free_vars(t)
+    if fv.isdisjoint(sigma):
+        return t
+    live = fv.intersection(sigma)
+    if len(live) == 1:
+        (x,) = live
+        value = sigma[x]
+        return _subst(t, x, value, free_vars(value))
+    if len(live) < len(sigma):
+        sigma = {x: sigma[x] for x in live}
+    # a Var has one free name, so t is a compound node here
+    out = _rebuild_many(t, sigma)
+    object.__setattr__(out, "_fv", (fv - live).union(*map(free_vars, sigma.values())))
+    return out
+
+
+def _bind_many(x: str, pieces: list, sigma):
+    """Push ``sigma`` under a binder ``x`` that scopes over ``pieces``.  The
+    names that ``x`` shadows drop out; if ``x`` would capture a free
+    variable of a value substituted in its scope, the same walk renames it."""
+    pfv = frozenset().union(*map(free_vars, pieces))
+    inner = {y: v for y, v in sigma.items() if y != x and y in pfv}
+    if not inner:
+        return x, pieces
+    if any(x in free_vars(v) for v in inner.values()):
+        x2 = fresh_name(x)
+        inner[x] = Var(x2)
+        x = x2
+    return x, [_subst_many(p, inner) for p in pieces]
+
+
+def _rebuild_many(t, sigma):
+    """One step of `subst_many` on a node in which two or more names of
+    ``sigma`` occur free."""
+    cls = type(t)
+    if cls in _BINARY:
+        a, b = _BINARY[cls](t)
+        return cls(_subst_many(a, sigma), _subst_many(b, sigma))
+    if cls is Lam:
+        x2, [body2] = _bind_many(t.binder, [t.body], sigma)
+        return Lam(x2, body2)
+    if cls is Pi or cls is Sigma:
+        x, dom, cod = (
+            (t.binder, t.domain, t.codomain) if cls is Pi
+            else (t.binder, t.fst_type, t.snd_type))
+        dom2 = _subst_many(dom, sigma)
+        x2, [cod2] = _bind_many(x, [cod], sigma)
+        return cls(x2, dom2, cod2)
+    if cls is Fst or cls is Snd:
+        return cls(_subst_many(t.pair, sigma))
+    if cls is Refl:
+        return Refl(_subst_many(t.arg, sigma))
+    if cls is IdType:
+        return IdType(_subst_many(t.ambient, sigma), _subst_many(t.lhs, sigma),
+                      _subst_many(t.rhs, sigma))
+    if cls is JElim:
+        return JElim(_subst_many(t.motive, sigma), _subst_many(t.base, sigma),
+                     _subst_many(t.path, sigma))
+    if cls is ShapeTy:
+        x2, [tope2] = _bind_many(t.binder, [t.tope], sigma)
+        return ShapeTy(x2, t.sort, tope2)
+    if cls is Extension:
+        dom2 = _subst_many(t.domain, sigma)
+        x2, [phi2, fam2, part2] = _bind_many(
+            t.binder, [t.subtope, t.family, t.partial], sigma)
+        return Extension(x2, dom2, phi2, fam2, part2)
+    if cls is RecOr:
+        return RecOr(_subst_many(t.left_tope, sigma), _subst_many(t.right_tope, sigma),
+                     _subst_many(t.left, sigma), _subst_many(t.right, sigma))
+    raise AssertionError(f"free variables {sorted(sigma)} in a {cls.__name__}")
 
 
 # the two children of each node class that has two and binds nothing

@@ -420,6 +420,18 @@ class Solver:
     trace: Optional[Callable[[str], None]] = None
     memo: dict = field(default_factory=dict)
     queries: int = 0
+    # the cube context of the last call to `flattener`, and its flattener
+    _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+
+    def flattener(self, ctx: tuple[tuple[str, CubeSort], ...]) -> _Flattener:
+        """The flattener of a cube context, made again only when ``ctx`` is
+        not the very tuple of the last call: the kernel's contexts hand out
+        one tuple for each cube context."""
+        last, fl = self._last
+        if ctx is not last:
+            fl = _Flattener(ctx)
+            self._last = (ctx, fl)
+        return fl
 
     def entails(
         self,
@@ -429,16 +441,30 @@ class Solver:
     ) -> bool:
         """Decide ctx | hyps |- goal over all finite total orders."""
         self.queries += 1
-        fl = _Flattener(tuple(ctx))
-        hf = fl.formula(hyps)
+        ctx = tuple(ctx)
+        fl = self.flattener(ctx)
+        # a hypothesis keeps its flattened and canonical forms on the node,
+        # as terms keep their free variables, with the cube context they
+        # were computed under; they are reused under that very tuple only
+        try:
+            seen = hyps._flat
+        except AttributeError:
+            seen = None
+        if seen is not None and seen[0] is ctx:
+            _, hf, hkey, hrename = seen
+        else:
+            hf = fl.formula(hyps)
+            hrename = {}
+            hkey = _canon_formula(hf, hrename)
+            object.__setattr__(hyps, "_flat", (ctx, hf, hkey, hrename))
         gf = fl.formula(goal)
         k = len(fl.atoms)
         if k > self.capacity:
             raise CapacityError(
                 f"{k} interval variables exceed the entailment bound {self.capacity}"
             )
-        rename: dict[int, int] = {}
-        key = (k, _canon_formula(hf, rename), _canon_formula(gf, rename))
+        rename = dict(hrename)
+        key = (k, hkey, _canon_formula(gf, rename))
         cached = self.memo.get(key)
         if cached is not None:
             result, branches = cached
@@ -485,7 +511,7 @@ class Solver:
         b: Term,
     ) -> bool:
         """a == b under hyps, decomposing product sorts componentwise."""
-        fl = _Flattener(tuple(ctx))
+        fl = self.flattener(tuple(ctx))
         if _sort_key(fl.sort_of(a)) != _sort_key(fl.sort_of(b)):
             raise SortError("== relates terms of one sort")
         return self.entails(ctx, hyps, TopeEq(a, b))

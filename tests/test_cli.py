@@ -107,6 +107,28 @@ class TestRobustness:
             assert (proc.returncode, proc.stderr) == (0, "")
             assert proc.stdout.startswith("deep: ok (1 declarations")
 
+    def test_undecodable_source_is_a_resolve_error(self, run_cli, tmp_path):
+        f = tmp_path / "bad.stt"
+        f.write_bytes(b"def a : U1 := U;\n-- \xff\xfe\n")
+        code, out, err = run_cli(str(f))
+        assert (code, out) == (2, "")
+        assert err == f"error[IMPORT]: cannot read {f}: not UTF-8 (byte 20)\n"
+
+    def test_closed_stdout_exits_2_quietly(self):
+        # the read end is closed before the checker writes, as `| head -1`
+        # closes it after one line
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "stt.cli", "check", GOLDEN_STT,
+                 "--no-cache", "--trace-tope"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONPATH=os.path.join(REPO, "src")))
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (2, "")
+
     def test_import_leaves_numpy_out(self):
         proc = run_python(
             "-c", "import sys, stt.cli; print('numpy' in sys.modules)")

@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+import stt.corpus
 from conftest import CORPUS
+from stt.cli import check_modules
 from stt.corpus import (
     ALLOWED_POSTULATES, CorpusUnit, corpus_manifest, verify_corpus,
 )
@@ -62,11 +64,41 @@ def test_t1_units_postulate_only_manifest_axioms(manifest):
             assert postulates == ALLOWED_POSTULATES
 
 
-def test_full_corpus_checks(manifest):
+# declarations checked and solver queries made by each module on a cold
+# check.  A change that must keep every step of the kernel and every query
+# of the solver keeps these numbers.
+CORPUS_COUNTS = {
+    "AXIOMS": (14, 1109),
+    "prelude": (25, 602),
+    "shapes": (22, 59),
+    "hom": (15, 930),
+    "segal_rezk": (19, 5157),
+    "ext_laws": (20, 7157),
+    "orthogonality": (24, 1009),
+    "lari": (9, 242),
+    "lari_appendix": (16, 3954),
+    "mates_appendix": (10, 11197),
+    "inner": (11, 957),
+    "cocart": (48, 19762),
+    "covariant": (15, 687),
+    "yoneda": (12, 2204),
+}
+
+
+def test_full_corpus_checks(manifest, monkeypatch):
+    reports = {}
+
+    def recording_check_modules(modules):
+        reports.update(check_modules(modules))
+        return reports
+
+    monkeypatch.setattr(stt.corpus, "check_modules", recording_check_modules)
     report = verify_corpus(manifest)
     assert report.status == "ok", [
         (d.code, d.file, d.message) for d in report.diagnostics]
-    assert report.declarations_checked >= 250
+    assert {name: (r.declarations_checked, r.solver_queries)
+            for name, r in reports.items()} == CORPUS_COUNTS
+    assert (report.declarations_checked, report.solver_queries) == (260, 55_026)
 
 
 def test_stray_postulate_rejected(tmp_path, manifest):

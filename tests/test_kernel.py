@@ -1,14 +1,18 @@
 """Kernel: reduction, definitional equality, checking, declarations."""
 
+import dataclasses
 import os
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stt.kernel import Checker, Ctx, KernelError, check_module
+from genterms import NAMES, random_term
+from stt.kernel import Checker, Ctx, KernelError, _split_tope, check_module
 from stt.parser import parse_module, parse_term
 from stt.syntax import (
-    App, Cube0, Cube1, Interval, Lam, Pair, TOP, TopeEq, TopeOr, Var,
-    alpha_eq,
+    App, Cube0, Cube1, Interval, Lam, Pair, TOP, TopeAnd, TopeEq, TopeLeq,
+    TopeOr, UnitCube, Var, alpha_eq, fresh_name, free_vars, subst, subst_many,
 )
 from stt.topes import Solver
 
@@ -39,6 +43,47 @@ def check_src(src, expect_ok=True):
 def make_checker(src=HEADER):
     _, env = check_src(src)
     return Checker(env, solver=Solver())
+
+
+def _forget_free_vars(t):
+    """Drop the free variables cached on t and on every node under it."""
+    vars(t).pop("_fv", None)
+    for f in dataclasses.fields(t):
+        child = getattr(t, f.name)
+        if dataclasses.is_dataclass(child):
+            _forget_free_vars(child)
+
+
+class TestSubstMany:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 4))
+    def test_agrees_with_sequential_substitution(self, seed, depth, n):
+        # genterms draws every name from a pool of eight, so terms have
+        # binders that capture a value's free variables and binders that
+        # shadow a substituted name
+        rng = random.Random(seed)
+        t = random_term(rng, depth)
+        sigma = {x: random_term(rng, rng.randrange(3)) for x in rng.sample(NAMES, n)}
+        # one name at a time, through fresh intermediate names
+        fresh = {x: fresh_name("z") for x in sigma}
+        expected = t
+        for x, z in fresh.items():
+            expected = subst(expected, x, Var(z))
+        for x, z in fresh.items():
+            expected = subst(expected, z, sigma[x])
+        out = subst_many(t, sigma)
+        assert alpha_eq(out, expected)
+        # the free variables set on the rebuilt nodes are the walked ones
+        cached = free_vars(out)
+        _forget_free_vars(out)
+        assert free_vars(out) == cached
+
+    def test_renaming_to_itself_is_no_substitution(self):
+        t = parse_term(r"\z . x (y z) x")
+        assert subst(t, "x", Var("x")) is t
+        out = subst_many(t, {"x": Var("x"), "y": Var("b")})
+        assert alpha_eq(out, parse_term(r"\z . x (b z) x"))
+        assert subst_many(t, {"x": Var("x"), "y": Var("y")}) is t
 
 
 class TestWhnf:
@@ -80,6 +125,28 @@ class TestWhnf:
         t = parse_term(r"idJ (\w q . B) b (refl b)")
         assert alpha_eq(ck.whnf(Ctx(), t), Var("b"))
 
+    @pytest.mark.parametrize("strategy", ["leftmost", "innermost"])
+    def test_spines(self, strategy):
+        ck = make_checker()
+        ck.strategy = strategy
+        ctx = Ctx().bind_var("x", None).bind_var("y", None).bind_var("z", None)
+        for src, expected in [
+            # the arguments swap names: one substitution after the other,
+            # without renaming, would give x x
+            (r"(\x . \y . x y) y x", "y x"),
+            # the inner binder shadows the outer one: x is the second argument
+            (r"(\x . \x . x) b b'", "b'"),
+            # over-applied: the result of the beta step takes b
+            (r"(\x . x) (\y . y) b", "b"),
+            # under-applied, and the argument z would be captured by the
+            # remaining binder z
+            (r"(\x . \y . \z . x y z) z y", r"\w . z y w"),
+            # the head becomes a lambda only once fst computes
+            (r"fst ((\x . \y . x) , b) b' b", "b'"),
+        ]:
+            out = ck.whnf(ctx, parse_term(src))
+            assert alpha_eq(out, parse_term(expected)), src
+
     def test_strategies_confluent_on_samples(self):
         left = make_checker()
         right = make_checker()
@@ -91,6 +158,75 @@ class TestWhnf:
             a = left.whnf(Ctx(), t)
             bb = right.whnf(Ctx(), t)
             assert left.def_equal(Ctx(), None, a, bb), src
+
+
+def _reference_facts(entries):
+    """The cube context, hypotheses and split of a telescope, computed from
+    its entries alone."""
+    cubes = tuple((e[1], e[2]) for e in entries if e[0] == "cube")
+    hyps = None
+    for e in entries:
+        if e[0] == "tope":
+            hyps = e[1] if hyps is None else TopeAnd(hyps, e[1])
+    split = None
+    for i, e in enumerate(entries):
+        if e[0] == "tope" and _split_tope(e[1]) is not None:
+            split = [entries[:i] + (("tope", part),) + entries[i + 1:]
+                     for part in _split_tope(e[1])]
+            break
+    return cubes, TOP if hyps is None else hyps, split
+
+
+def _same_entries(a, b):
+    return len(a) == len(b) and all(
+        e[:2] == f[:2] and (alpha_eq(e[1], f[1]) if e[0] == "tope" else e[2] is f[2])
+        for e, f in zip(a, b))
+
+
+class TestCtx:
+    def test_lookup_returns_the_latest_binding(self):
+        ctx = Ctx().bind_var("x", Var("A")).bind_cube("y", Interval())
+        assert ctx.lookup("x")[2].name == "A"
+        ctx2 = ctx.bind_cube("x", UnitCube())
+        assert ctx2.lookup("x") == ("cube", "x", UnitCube())
+        ctx3 = ctx2.bind_var("x", Var("B"))
+        assert ctx3.lookup("x")[2].name == "B"
+        # the parents keep their own bindings
+        assert ctx.lookup("x")[2].name == "A"
+        assert ctx2.lookup("x")[0] == "cube"
+        assert ctx3.lookup("z") is None
+        assert set(ctx3.names()) == {"x", "y"}
+
+    def test_cached_facts_equal_a_recomputation(self):
+        t, s = Var("t"), Var("s")
+        steps = [
+            lambda c: c.bind_cube("t", Interval()),
+            lambda c: c.constrain(TopeLeq(t, Cube1())),
+            lambda c: c.bind_var("b", Var("B")),
+            lambda c: c.constrain(TopeOr(TopeEq(t, Cube0()), TopeEq(t, Cube1()))),
+            lambda c: c.bind_cube("s", Interval()),
+            lambda c: c.constrain(TopeAnd(TopeLeq(s, t), TopeOr(TopeEq(s, Cube0()),
+                                                                TopeLeq(t, s)))),
+            lambda c: c.bind_var("t", None),
+        ]
+        ctx = Ctx()
+        for step in steps:
+            parent, ctx = ctx, step(ctx)
+            cubes, hyps, split = _reference_facts(ctx.entries)
+            # asked twice: computed once, then read back
+            for _ in range(2):
+                assert ctx.cube_context() == cubes
+                assert alpha_eq(ctx.hyps(), hyps)
+                got = ctx.split()
+                assert (got is None) == (split is None)
+                if split is not None:
+                    assert all(_same_entries(c.entries, e) for c, e in zip(got, split))
+                    for c in got:
+                        assert c.cube_context() == cubes
+                        assert alpha_eq(c.hyps(), _reference_facts(c.entries)[1])
+            if ctx.entries[-1][0] != "cube":
+                # the solver recognises a cube context by identity
+                assert ctx.cube_context() is parent.cube_context()
 
 
 class TestDefEqual:

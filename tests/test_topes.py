@@ -88,6 +88,35 @@ class TestEntails:
         with pytest.raises(SortError):
             solver.entails((), TOP, leq(Var("free"), Cube1()))
 
+    def test_sort_error_before_capacity_error(self):
+        solver = Solver(capacity=1)
+        bad = leq(t, Pair(t, s))
+        with pytest.raises(SortError):
+            solver.entails(CTX_TS, bad, TOP)
+        with pytest.raises(SortError):
+            solver.entails(CTX_TS, TOP, bad)
+        with pytest.raises(SortError):
+            solver.entails((("t", I), ("t", I)), TOP, TOP)
+        hyps = leq(t, s)
+        with pytest.raises(CapacityError):
+            solver.entails(CTX_TS, hyps, TOP)
+        # hyps' flattened form is now kept for CTX_TS; the goal still
+        # decides the error
+        with pytest.raises(SortError):
+            solver.entails(CTX_TS, hyps, bad)
+
+    def test_one_hypothesis_under_several_cube_contexts(self, solver):
+        # the atoms of t and s differ from one context to the next, so a
+        # flattened hypothesis reused under another context gives the
+        # wrong verdict
+        hyps = leq(t, s)
+        contexts = [CTX_TS, (("s", I), ("t", I)), (("r", I), ("s", I), ("t", I)),
+                    (("p", ProdCube(I, I)), ("t", I), ("s", I))]
+        for ctx in contexts + contexts[::-1]:
+            assert solver.entails(ctx, hyps, leq(t, s))
+            assert not solver.entails(ctx, hyps, leq(s, t))
+            assert solver.entails(ctx, hyps, leq(Meet(t, s), t))
+
     def test_product_flattening(self, solver):
         ctx = (("p", ProdCube(I, I)),)
         p = Var("p")
