@@ -91,11 +91,12 @@ class Cache:
         return os.path.join(self.root, key[:2], key + suffix)
 
     def _read(self, path: str):
-        """The JSON at ``path``, or None if there is no such file."""
+        """The JSON at ``path``, or None if there is no such file.  A root
+        that is not a directory holds no entries; writing one fails."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return json.load(fh)
-        except FileNotFoundError:
+        except (FileNotFoundError, NotADirectoryError):
             return None
 
     def _write(self, path: str, data: dict) -> None:

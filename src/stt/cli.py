@@ -107,7 +107,7 @@ def resolve(
                     f"module {name!r} found at both {modules[name].path} and {path}")
             continue
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 source = fh.read()
         except OSError as e:
             raise ResolveError(f"cannot read {path}: {e}") from e
@@ -230,16 +230,19 @@ def run(config: RunConfig) -> int:
     """Check the target modules; return the process exit code."""
     out = sys.stdout
     cache = None if config.no_cache else Cache(config.cache_dir, config.capacity)
+    trace_lines: list[str] = []
     try:
         modules = resolve(config.targets, config.search_paths, cache)
+        reports = check_modules(
+            modules, config.capacity, cache,
+            trace_lines.append if config.trace_tope else None)
     except ResolveError as e:
         print(f"error[IMPORT]: {e.message}", file=sys.stderr)
         return 2
-
-    trace_lines: list[str] = []
-    reports = check_modules(
-        modules, config.capacity, cache,
-        trace_lines.append if config.trace_tope else None)
+    except OSError as e:  # sources that cannot be read are ResolveErrors
+        print(f"error: cannot write the cache directory {config.cache_dir}: "
+              f"{e.strerror}", file=sys.stderr)
+        return 2
 
     failed = False
     for name in sorted(reports):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from . import topes
 from .diagnostics import CheckReport, Diagnostic
@@ -181,12 +181,10 @@ class Checker:
         env: dict[str, EnvEntry],
         solver: Optional[topes.Solver] = None,
         module: Optional[SourceModule] = None,
-        strategy: str = "leftmost",
     ):
         self.env = env
         self.solver = solver if solver is not None else topes.Solver()
         self.module = module
-        self.strategy = strategy
         self.queries = 0
         self._span_stack: list[tuple[int, int]] = []
         allow_deep_recursion()
@@ -313,14 +311,12 @@ class Checker:
                     t = t.fn
                 args.reverse()
                 head = self.whnf(ctx, t)
-                innermost = self.strategy == "innermost"
                 if type(head) is Lam:
                     # beta: one Lam per argument, one substitution for all
                     sigma = {}
                     used = 0
                     while type(head) is Lam and used < len(args):
-                        a = args[used]
-                        sigma[head.binder] = self.whnf(ctx, a) if innermost else a
+                        sigma[head.binder] = args[used]
                         head = head.body
                         used += 1
                     t = subst_many(head, sigma)
@@ -328,8 +324,6 @@ class Checker:
                     # a neutral head takes its arguments one at a time,
                     # each through boundary computation
                     for used, a in enumerate(args, 1):
-                        if innermost:
-                            a = self.whnf(ctx, a)
                         t = self._boundary_reduce(ctx, head, a)
                         if t is not None:
                             break
@@ -631,22 +625,6 @@ class Checker:
                     return None
             case _:
                 return False
-
-    # -- boundary check (exposed for tests) -------------------------------------------
-
-    def check_boundary(
-        self, ctx: Ctx, domain: Term, phi: Tope, body: Term, partial: Term
-    ) -> bool:
-        """body and partial are sections over the shape; compare them under
-        the subtope constraint."""
-        sh = self.resolve_shape(ctx, domain)
-        x = fresh_name(sh.binder)
-        ctx2 = (
-            ctx.bind_cube(x, sh.sort)
-            .constrain(subst(sh.tope, sh.binder, Var(x)))
-            .constrain(subst(phi, sh.binder, Var(x)))
-        )
-        return self.def_equal(ctx2, None, App(body, Var(x)), App(partial, Var(x)))
 
     # -- checking and inference ---------------------------------------------------------
 

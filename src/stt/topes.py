@@ -24,7 +24,9 @@ counter-model.
 The trace reports ``branches``, the number of models of the query's k
 atoms: 4 * Fubini(k) - 1 for k >= 1 and 1 for k = 0.  It depends on k only.
 The independent oracle, which evaluates formulas over a numeric grid, is a
-test oracle and lives in ``tests/tope_oracle.py``.
+test oracle and lives in ``tests/tope_oracle.py``.  So does the test
+helper for shapes, a cube telescope with a tope over it, that decides
+subshape inclusion with ``Solver.entails``.
 """
 
 from __future__ import annotations
@@ -47,14 +49,6 @@ class SortError(Exception):
 
 class CapacityError(Exception):
     """The flattened query exceeds the configured interval-variable bound."""
-
-
-@dataclass(frozen=True)
-class Shape:
-    """A cube telescope together with a tope over it."""
-
-    cube_context: tuple[tuple[str, CubeSort], ...]
-    tope: Tope
 
 
 # ---------------------------------------------------------------------------
@@ -486,23 +480,6 @@ class Solver:
             )
         return result
 
-    # -- derived operations --------------------------------------------------
-
-    def shape_included(self, sub: Shape, sup: Shape) -> bool:
-        """sub is a subshape of sup: identical cube telescope (up to renaming)
-        and the sub tope entails the sup tope."""
-        if len(sub.cube_context) != len(sup.cube_context):
-            raise MismatchError("shape cube contexts differ in length")
-        tope = sup.tope
-        for (n1, s1), (n2, s2) in zip(sub.cube_context, sup.cube_context):
-            if _sort_key(s1) != _sort_key(s2):
-                raise MismatchError("shape cube contexts differ in sorts")
-            if n1 != n2:
-                from .syntax import subst
-
-                tope = subst(tope, n2, Var(n1))
-        return self.entails(sub.cube_context, sub.tope, tope)
-
     def cube_equal(
         self,
         ctx: tuple[tuple[str, CubeSort], ...],
@@ -515,11 +492,3 @@ class Solver:
         if _sort_key(fl.sort_of(a)) != _sort_key(fl.sort_of(b)):
             raise SortError("== relates terms of one sort")
         return self.entails(ctx, hyps, TopeEq(a, b))
-
-    def inconsistent(self, ctx, hyps: Tope) -> bool:
-        return self.entails(ctx, hyps, TopeBot())
-
-
-class MismatchError(Exception):
-    """Shapes compared over incompatible cube contexts."""
-

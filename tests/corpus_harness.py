@@ -1,4 +1,4 @@
-"""The shipped formalization corpus and its verification harness.
+"""The shipped formalization corpus, as the tests see it.
 
 Units are `.stt` files under `corpus/`, one per topic, tiered:
 
@@ -6,19 +6,20 @@ Units are `.stt` files under `corpus/`, one per topic, tiered:
   * T2: statements elaborated as types (`def ... : U`), not proved,
   * P:  the axiom manifest itself (`AXIOMS.stt`).
 
-Each file carries structured header comments parsed here: `--@tier`,
+Each file carries structured header comments read here: `--@tier` and
 `--@thm <label>` (one per named statement the unit covers).  The tier
-rule itself is enforced by `kernel.check_module`.
+rule itself is enforced by `stt.kernel.check_module`; `stt check
+corpus/all.stt` checks the corpus with the same driver.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional
 
-from .cli import check_modules, resolve
-from .kernel import ALLOWED_POSTULATES, CheckReport  # noqa: F401 (re-exported)
+from conftest import CORPUS
+from stt.cli import check_modules, resolve
+from stt.diagnostics import CheckReport
 
 
 @dataclass(eq=False)
@@ -30,28 +31,10 @@ class CorpusUnit:
     depends_on: list[str] = field(default_factory=list)
 
 
-def corpus_root(base: Optional[str] = None) -> str:
-    """Locate the corpus directory: explicit base, $STT_CORPUS, or the
-    repository copy next to the installed package."""
-    if base is not None:
-        return base
-    env = os.environ.get("STT_CORPUS")
-    if env:
-        return env
-    here = os.path.dirname(os.path.abspath(__file__))
-    for candidate in (
-        os.path.join(os.getcwd(), "corpus"),
-        os.path.normpath(os.path.join(here, "..", "..", "corpus")),
-    ):
-        if os.path.isdir(candidate):
-            return candidate
-    raise FileNotFoundError("corpus directory not found")
-
-
-def corpus_manifest(base: Optional[str] = None) -> list[CorpusUnit]:
+def corpus_manifest() -> list[CorpusUnit]:
     """The units `all.stt` imports, in dependency order, with tier, anchors
     and imports read from each file."""
-    modules = resolve([os.path.join(corpus_root(base), "all.stt")], [])
+    modules = resolve([os.path.join(CORPUS, "all.stt")], [])
     return [
         CorpusUnit(
             file=m.path,

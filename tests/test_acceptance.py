@@ -14,16 +14,17 @@ import time
 import pytest
 
 from conftest import CORPUS, NEGATIVE, DATA
+from corpus_harness import corpus_manifest, verify_corpus
 from stt.cli import main as cli_main
-from stt.corpus import corpus_manifest, verify_corpus, ALLOWED_POSTULATES
+from stt.kernel import ALLOWED_POSTULATES
 from stt.parser import parse_module, parse_term
 from stt.printer import print_term
 from stt.syntax import (
     Cube0, Cube1, INTERVAL, Join, Meet, TOP, BOT, TopeAnd, TopeEq, TopeLeq,
     TopeOr, Var, alpha_eq,
 )
-from stt.topes import Shape, Solver
-from tope_oracle import oracle_entails
+from stt.topes import Solver
+from tope_oracle import Shape, oracle_entails, shape_included
 
 I = INTERVAL
 
@@ -120,12 +121,12 @@ def test_criterion_2_tope_axiom_suite():
     d2 = Shape(ts, TopeLeq(sv, t))
     l21 = Shape(ts, TopeOr(TopeEq(sv, Cube0()), TopeEq(t, Cube1())))
     bd2 = Shape(ts, TopeOr(TopeEq(sv, t), TopeOr(TopeEq(sv, Cube0()), TopeEq(t, Cube1()))))
-    checks.append(s.shape_included(bd1, d1))
-    checks.append(s.shape_included(l21, d2))
-    checks.append(s.shape_included(bd2, d2))
-    checks.append(not s.shape_included(d1, bd1))
-    checks.append(not s.shape_included(d2, l21))
-    checks.append(not s.shape_included(d2, bd2))
+    checks.append(shape_included(s, bd1, d1))
+    checks.append(shape_included(s, l21, d2))
+    checks.append(shape_included(s, bd2, d2))
+    checks.append(not shape_included(s, d1, bd1))
+    checks.append(not shape_included(s, d2, l21))
+    checks.append(not shape_included(s, d2, bd2))
     report("2 tope axiom suite", all(checks),
            f"({len(checks)} checks: order axioms, 12 lattice identities, inclusions)")
 
@@ -151,7 +152,7 @@ def test_criterion_3_judgmental_golden_suite(capsys):
 # -- criterion 4: the corpus ---------------------------------------------------
 
 def test_criterion_4_corpus_checks():
-    manifest = corpus_manifest(CORPUS)
+    manifest = corpus_manifest()
     start = time.time()
     result = verify_corpus(manifest)
     elapsed = time.time() - start

@@ -114,6 +114,37 @@ class TestRobustness:
         assert (code, out) == (2, "")
         assert err == f"error[IMPORT]: cannot read {f}: not UTF-8 (byte 20)\n"
 
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+    def test_cache_dir_that_is_not_a_directory_is_an_io_error(
+            self, run_cli, tmp_path, sub):
+        f = write(tmp_path, "ok.stt", "def a : U1 := U;\n")
+        (tmp_path / "notadir").write_text("")
+        cache_dir = os.path.join(tmp_path / "notadir", sub)
+        code, out, err = run_cli(f, cache_dir=cache_dir)
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            f"error: cannot write the cache directory {cache_dir}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_leading_byte_order_mark_is_accepted(self, run_cli, tmp_path):
+        f = tmp_path / "bom.stt"
+        f.write_bytes(b"\xef\xbb\xbfdef a : U1 := U;\n")
+        assert run_cli(str(f)) == (0, "bom: ok (1 declarations, 1 solver queries)\n", "")
+
+    @pytest.mark.parametrize("body,code", [("$", "LEX"), ("U", "CHECK")])
+    def test_byte_order_mark_keeps_line_and_column(self, run_cli, tmp_path, body, code):
+        src = f"def a : U1 := U;\ndef b : U := {body};\n".encode()
+        outputs = []
+        for bom, folder in [(b"", "plain"), (b"\xef\xbb\xbf", "bom")]:
+            (tmp_path / folder).mkdir()
+            f = tmp_path / folder / "m.stt"
+            f.write_bytes(bom + src)
+            exit_code, out, err = run_cli(str(f))
+            assert (exit_code, err) == (1, "")
+            outputs.append(out.replace(str(f), "m.stt"))
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith(f"m.stt:2:14: error[{code}]")
+
     def test_closed_stdout_exits_2_quietly(self):
         # the read end is closed before the checker writes, as `| head -1`
         # closes it after one line

@@ -4,19 +4,19 @@ import os
 
 import pytest
 
-import stt.corpus
+import corpus_harness
 from conftest import CORPUS
+from corpus_harness import CorpusUnit, corpus_manifest, verify_corpus
+from kernel_oracle import check_boundary
 from stt.cli import check_modules
-from stt.corpus import (
-    ALLOWED_POSTULATES, CorpusUnit, corpus_manifest, verify_corpus,
-)
+from stt.kernel import ALLOWED_POSTULATES
 from stt.parser import parse_module
 from stt.topes import Solver
 
 
 @pytest.fixture(scope="module")
 def manifest():
-    return corpus_manifest(CORPUS)
+    return corpus_manifest()
 
 
 def test_manifest_size_and_tiers(manifest):
@@ -92,7 +92,7 @@ def test_full_corpus_checks(manifest, monkeypatch):
         reports.update(check_modules(modules))
         return reports
 
-    monkeypatch.setattr(stt.corpus, "check_modules", recording_check_modules)
+    monkeypatch.setattr(corpus_harness, "check_modules", recording_check_modules)
     report = verify_corpus(manifest)
     assert report.status == "ok", [
         (d.code, d.file, d.message) for d in report.diagnostics]
@@ -166,7 +166,7 @@ def test_subject_reduction_on_corpus():
     from stt.kernel import Checker, Ctx
     from stt.syntax import Lam, Pair, RecOr, RecBot
     solver = Solver()
-    manifest = corpus_manifest(CORPUS)
+    manifest = corpus_manifest()
     envs: dict[str, dict] = {}
     from stt.kernel import check_module
     checked = 0
@@ -196,7 +196,7 @@ def test_boundary_soundness_on_corpus():
     from stt.kernel import Checker, Ctx, check_module
     from stt.syntax import Extension, Lam
     solver = Solver()
-    manifest = corpus_manifest(CORPUS)
+    manifest = corpus_manifest()
     envs: dict[str, dict] = {}
     rechecked = 0
     for u in manifest:
@@ -214,7 +214,7 @@ def test_boundary_soundness_on_corpus():
             if not isinstance(ty, Extension):
                 continue
             partial_fn = Lam(ty.binder, ty.partial)
-            assert ck.check_boundary(
-                Ctx(), ty.domain, ty.subtope, decl.body, partial_fn), decl.name
+            assert check_boundary(
+                ck, Ctx(), ty.domain, ty.subtope, decl.body, partial_fn), decl.name
             rechecked += 1
     assert rechecked >= 3

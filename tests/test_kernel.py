@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genterms import NAMES, random_term
+from kernel_oracle import InnermostChecker, check_boundary
 from stt.kernel import Checker, Ctx, KernelError, _split_tope, check_module
 from stt.parser import parse_module, parse_term
 from stt.syntax import (
@@ -40,9 +41,9 @@ def check_src(src, expect_ok=True):
     return report, env
 
 
-def make_checker(src=HEADER):
+def make_checker(src=HEADER, checker=Checker):
     _, env = check_src(src)
-    return Checker(env, solver=Solver())
+    return checker(env, solver=Solver())
 
 
 def _forget_free_vars(t):
@@ -125,10 +126,10 @@ class TestWhnf:
         t = parse_term(r"idJ (\w q . B) b (refl b)")
         assert alpha_eq(ck.whnf(Ctx(), t), Var("b"))
 
-    @pytest.mark.parametrize("strategy", ["leftmost", "innermost"])
-    def test_spines(self, strategy):
-        ck = make_checker()
-        ck.strategy = strategy
+    @pytest.mark.parametrize(
+        "checker", [Checker, InnermostChecker], ids=["leftmost", "innermost"])
+    def test_spines(self, checker):
+        ck = make_checker(checker=checker)
         ctx = Ctx().bind_var("x", None).bind_var("y", None).bind_var("z", None)
         for src, expected in [
             # the arguments swap names: one substitution after the other,
@@ -147,10 +148,29 @@ class TestWhnf:
             out = ck.whnf(ctx, parse_term(src))
             assert alpha_eq(out, parse_term(expected)), src
 
+    @pytest.mark.parametrize("src", [r"(\x . x) ((\y . y) b)", r"(\x . b) ((\y . y) b')"])
+    def test_reference_reduces_arguments_first(self, src):
+        # the confluence tests compare two orders only if they differ: the
+        # reference normalizes the argument before the beta step, whnf
+        # substitutes it unreduced and never normalizes it on its own.  The
+        # second beta step drops its argument, so only a reference that
+        # reduces arguments first normalizes it at all.
+        t = parse_term(src)
+        for checker, calls_on_arg in [(Checker, 0), (InnermostChecker, 1)]:
+            calls = []
+
+            class Counting(checker):
+                def whnf(self, ctx, u):
+                    calls.append(u)
+                    return super().whnf(ctx, u)
+
+            ck = make_checker(checker=Counting)
+            assert alpha_eq(ck.whnf(Ctx(), t), Var("b")), checker
+            assert sum(alpha_eq(u, t.arg) for u in calls) == calls_on_arg, checker
+
     def test_strategies_confluent_on_samples(self):
         left = make_checker()
-        right = make_checker()
-        right.strategy = "innermost"
+        right = make_checker(checker=InnermostChecker)
         for src in [r"(\x . x) ((\y . y) b)", "u 0",
                     r"fst ((\x . x) (b , b'))",
                     r"idJ (\w q . B) ((\x . x) b) (refl b)"]:
@@ -296,20 +316,20 @@ class TestCheckBoundary:
         body = parse_term(r"\t . b")
         partial = parse_term(r"\t . recOR (t == 0 |-> b , t == 1 |-> b)")
         # the shape binder in Delta1 is named t as well; open under fresh names
-        assert ck.check_boundary(Ctx(), dom, phi, body, partial)
+        assert check_boundary(ck, Ctx(), dom, phi, body, partial)
 
     def test_mismatched_endpoint(self):
         ck = make_checker()
         phi = TopeOr(TopeEq(Var("t"), Cube0()), TopeEq(Var("t"), Cube1()))
         body = parse_term(r"\t . b")
         partial = parse_term(r"\t . recOR (t == 0 |-> b , t == 1 |-> b')")
-        assert not ck.check_boundary(Ctx(), Var("Delta1"), phi, body, partial)
+        assert not check_boundary(ck, Ctx(), Var("Delta1"), phi, body, partial)
 
     def test_vacuous_boundary(self):
         ck = make_checker()
         from stt.syntax import BOT
-        assert ck.check_boundary(
-            Ctx(), Var("Delta1"), BOT,
+        assert check_boundary(
+            ck, Ctx(), Var("Delta1"), BOT,
             parse_term(r"\t . b"), parse_term(r"\t . b'"))
 
 
@@ -396,8 +416,8 @@ def test_corpus_prelude_confluence_both_strategies():
     solver = Solver()
     report, env = check_module(mod, {}, solver)
     assert report.status == "ok"
-    left = Checker(env, solver=solver, strategy="leftmost")
-    right = Checker(env, solver=solver, strategy="innermost")
+    left = Checker(env, solver=solver)
+    right = InnermostChecker(env, solver=solver)
     for decl in mod.declarations:
         if decl.body is None or decl.telescope:
             continue

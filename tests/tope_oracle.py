@@ -4,15 +4,22 @@
 and evaluates hyps -> goal with numpy over the grid {0, 1} | {i/(k+1)}:
 every assignment of the k atoms into the chain 0 < 1/(k+1) < ... < 1.
 It shares no decision code with ``stt.topes.Solver``.
+
+``Shape`` and ``shape_included`` are the tests' subshape inclusion, decided
+with the solver: a cube telescope with a tope over it is included in
+another when the telescopes agree up to renaming and the tope entails the
+other's.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from stt.topes import CapacityError, SortError, _Flattener
+from stt.syntax import Var, subst
+from stt.topes import CapacityError, Solver, SortError, _Flattener, _sort_key
 
 _grid_model_cache: dict[int, list[np.ndarray]] = {}
 
@@ -87,3 +94,33 @@ def oracle_entails(
         if not (g | ~h).all():
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# shapes
+
+
+@dataclass(frozen=True)
+class Shape:
+    """A cube telescope together with a tope over it."""
+
+    cube_context: tuple[tuple[str, CubeSort], ...]
+    tope: Tope
+
+
+class MismatchError(Exception):
+    """Shapes compared over incompatible cube contexts."""
+
+
+def shape_included(solver: Solver, sub: Shape, sup: Shape) -> bool:
+    """sub is a subshape of sup: identical cube telescope (up to renaming)
+    and the sub tope entails the sup tope."""
+    if len(sub.cube_context) != len(sup.cube_context):
+        raise MismatchError("shape cube contexts differ in length")
+    tope = sup.tope
+    for (n1, s1), (n2, s2) in zip(sub.cube_context, sup.cube_context):
+        if _sort_key(s1) != _sort_key(s2):
+            raise MismatchError("shape cube contexts differ in sorts")
+        if n1 != n2:
+            tope = subst(tope, n2, Var(n1))
+    return solver.entails(sub.cube_context, sub.tope, tope)
