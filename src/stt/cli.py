@@ -40,6 +40,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ValueError("capacity must be positive")
+        if not self.no_cache and not self.cache_dir:
+            raise ValueError("the cache directory must not be empty")
 
 
 @dataclass(eq=False)

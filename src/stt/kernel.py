@@ -12,8 +12,8 @@ eta (for Pi, Sigma and extension types), with three tope-sensitive rules:
     type are equal.
 
 Weak-head normalization reduces an application spine at once: a head
-that normalizes to n nested lambdas takes n arguments in one simultaneous
-substitution (`subst_many`), not one substitution per argument.
+that normalizes to n nested lambdas takes its n arguments in one walk of
+`subst_many`; every other substitution is `subst`, the same walk.
 
 Checking is pure per module; a shared solver memo table is the only cross
 module state.

@@ -314,8 +314,7 @@ _fresh_counter = itertools.count(1)
 def fresh_name(base: str) -> str:
     """A name guaranteed distinct from every surface identifier ('$' cannot
     be lexed)."""
-    root = base.split("$", 1)[0] or "x"
-    return f"{root}${next(_fresh_counter)}"
+    return f"{base_name(base)}${next(_fresh_counter)}"
 
 
 def base_name(name: str) -> str:
@@ -390,203 +389,112 @@ def _free_vars(t, out: set[str]) -> None:
 
 def subst(t, name: str, value: Term):
     """Capture-avoiding substitution of ``value`` for ``name`` in a term or
-    tope.  Renaming ``name`` to itself returns ``t``, not a copy."""
-    if name not in free_vars(t) or _renames_to_itself(name, value):
+    tope: `subst_many` with one name.  Renaming ``name`` to itself returns
+    ``t``, not a copy."""
+    if name not in free_vars(t) or (type(value) is Var and value.name == name):
         return t
-    return _subst(t, name, value, free_vars(value))
-
-
-def _renames_to_itself(name: str, value: Term) -> bool:
-    return type(value) is Var and value.name == name
-
-
-def _open_binder(x: str, pieces, name: str, value, fvs):
-    """Rename binder x if it would capture a free variable of value."""
-    if x in fvs:
-        x2 = fresh_name(x)
-        pieces = [subst(p, x, Var(x2)) for p in pieces]
-        return x2, pieces
-    return x, pieces
-
-
-def _subst(t, name, value, fvs):
-    try:
-        fv = t._fv
-    except AttributeError:
-        fv = free_vars(t)
-    if name not in fv:
-        return t
-    if type(t) is Var:
-        return value
-    out = _rebuild(t, name, value, fvs)
-    # ``name`` occurs free in ``t``, so the result's free variables follow
-    # without a walk (renaming a binder does not change them)
-    object.__setattr__(out, "_fv", (fv - {name}) | fvs)
-    return out
-
-
-def _rebuild(t, name, value, fvs):
-    """One step of `_subst` on a node in which ``name`` occurs free.  It
-    dispatches on the exact class, as the kernel's hottest function: a
-    chain of class patterns costs an isinstance test per case tried.  A
-    binder equal to ``name`` can only be on Pi, Sigma or Extension, whose
-    domains sit outside the binder's scope."""
-    cls = type(t)
-    if cls in _BINARY:
-        a, b = _BINARY[cls](t)
-        return cls(_subst(a, name, value, fvs), _subst(b, name, value, fvs))
-    if cls is Lam:
-        x2, [body2] = _open_binder(t.binder, [t.body], name, value, fvs)
-        return Lam(x2, _subst(body2, name, value, fvs))
-    if cls is Pi or cls is Sigma:
-        x, dom, cod = (
-            (t.binder, t.domain, t.codomain) if cls is Pi
-            else (t.binder, t.fst_type, t.snd_type))
-        dom2 = _subst(dom, name, value, fvs)
-        if x == name:
-            return cls(x, dom2, cod)
-        x2, [cod2] = _open_binder(x, [cod], name, value, fvs)
-        return cls(x2, dom2, _subst(cod2, name, value, fvs))
-    if cls is Fst or cls is Snd:
-        return cls(_subst(t.pair, name, value, fvs))
-    if cls is Refl:
-        return Refl(_subst(t.arg, name, value, fvs))
-    if cls is IdType:
-        return IdType(
-            _subst(t.ambient, name, value, fvs),
-            _subst(t.lhs, name, value, fvs),
-            _subst(t.rhs, name, value, fvs),
-        )
-    if cls is JElim:
-        return JElim(
-            _subst(t.motive, name, value, fvs),
-            _subst(t.base, name, value, fvs),
-            _subst(t.path, name, value, fvs),
-        )
-    if cls is ShapeTy:
-        x2, [tope2] = _open_binder(t.binder, [t.tope], name, value, fvs)
-        return ShapeTy(x2, t.sort, _subst(tope2, name, value, fvs))
-    if cls is Extension:
-        x = t.binder
-        dom2 = _subst(t.domain, name, value, fvs)
-        if x == name:
-            return Extension(x, dom2, t.subtope, t.family, t.partial)
-        x2, [phi2, fam2, part2] = _open_binder(
-            x, [t.subtope, t.family, t.partial], name, value, fvs
-        )
-        return Extension(
-            x2,
-            dom2,
-            _subst(phi2, name, value, fvs),
-            _subst(fam2, name, value, fvs),
-            _subst(part2, name, value, fvs),
-        )
-    if cls is RecOr:
-        return RecOr(
-            _subst(t.left_tope, name, value, fvs),
-            _subst(t.right_tope, name, value, fvs),
-            _subst(t.left, name, value, fvs),
-            _subst(t.right, name, value, fvs),
-        )
-    raise AssertionError(f"free variable {name!r} in a {cls.__name__}")
+    return _subst(t, {name: value}, free_vars(value))
 
 
 def subst_many(t, sigma: dict[str, Term]):
     """Capture-avoiding simultaneous substitution of ``sigma[x]`` for every
-    free ``x`` in a term or tope.  One walk rebuilds each node once, where
-    a `subst` per name would rebuild the nodes above every name again.
-    Names that ``sigma`` renames to themselves are left out; where a single
-    name is left it is `subst`'s walk."""
-    return _subst_many(t, {x: v for x, v in sigma.items()
-                           if not _renames_to_itself(x, v)})
+    free ``x`` in a term or tope, in one walk that rebuilds each node once.
+    Names that ``sigma`` renames to themselves are left out."""
+    sigma = {x: v for x, v in sigma.items() if not (type(v) is Var and v.name == x)}
+    return _subst(t, sigma, _values_fv(sigma))
 
 
-def _subst_many(t, sigma):
+def _values_fv(sigma) -> frozenset[str]:
+    return frozenset().union(*map(free_vars, sigma.values()))
+
+
+def _subst(t, sigma, fvs):
+    """The substitution walk.  ``fvs`` is the union of the free variables
+    of ``sigma``'s values.  It is recomputed only where ``sigma`` changes,
+    so that substituting one name costs what a walk made for one name
+    would."""
     try:
         fv = t._fv
     except AttributeError:
         fv = free_vars(t)
     if fv.isdisjoint(sigma):
         return t
-    live = fv.intersection(sigma)
-    if len(live) == 1:
-        (x,) = live
-        value = sigma[x]
-        return _subst(t, x, value, free_vars(value))
-    if len(live) < len(sigma):
-        sigma = {x: sigma[x] for x in live}
-    # a Var has one free name, so t is a compound node here
-    out = _rebuild_many(t, sigma)
-    object.__setattr__(out, "_fv", (fv - live).union(*map(free_vars, sigma.values())))
+    if type(t) is Var:
+        return sigma[t.name]
+    if len(sigma) > 1 and not fv.issuperset(sigma):
+        sigma = {x: v for x, v in sigma.items() if x in fv}
+        fvs = _values_fv(sigma)
+    out = _rebuild(t, sigma, fvs)
+    # every name of ``sigma`` is free in ``t`` and renaming a binder changes
+    # no free variable, so the result's free variables need no walk
+    object.__setattr__(out, "_fv", fv.difference(sigma) | fvs)
     return out
 
 
-def _bind_many(x: str, pieces: list, sigma):
-    """Push ``sigma`` under a binder ``x`` that scopes over ``pieces``.  The
-    names that ``x`` shadows drop out; if ``x`` would capture a free
-    variable of a value substituted in its scope, the same walk renames it."""
-    pfv = frozenset().union(*map(free_vars, pieces))
-    inner = {y: v for y, v in sigma.items() if y != x and y in pfv}
-    if not inner:
-        return x, pieces
-    if any(x in free_vars(v) for v in inner.values()):
+def _bind(x: str, pieces: list, sigma, fvs):
+    """Push ``sigma`` under a binder ``x`` that scopes over ``pieces``.  A
+    name that ``x`` shadows drops out; if ``x`` would capture a free
+    variable of a value, the same walk renames it."""
+    if x in sigma:
+        sigma = {y: v for y, v in sigma.items() if y != x}
+        fvs = _values_fv(sigma)
+    if x in fvs:
         x2 = fresh_name(x)
-        inner[x] = Var(x2)
+        sigma = {**sigma, x: Var(x2)}
+        fvs = fvs | {x2}
         x = x2
-    return x, [_subst_many(p, inner) for p in pieces]
+    return x, [_subst(p, sigma, fvs) for p in pieces]
 
 
-def _rebuild_many(t, sigma):
-    """One step of `subst_many` on a node in which two or more names of
-    ``sigma`` occur free."""
+def _rebuild(t, sigma, fvs):
+    """One step of `_subst` on a compound node in which every name of
+    ``sigma`` occurs free.  It dispatches on the exact class, as the
+    kernel's hottest function: a chain of class patterns costs an
+    isinstance test per case tried."""
     cls = type(t)
-    if cls in _BINARY:
-        a, b = _BINARY[cls](t)
-        return cls(_subst_many(a, sigma), _subst_many(b, sigma))
+    step = _STEP.get(cls)
+    if step is not None:
+        return step(t, sigma, fvs)
     if cls is Lam:
-        x2, [body2] = _bind_many(t.binder, [t.body], sigma)
+        x2, [body2] = _bind(t.binder, [t.body], sigma, fvs)
         return Lam(x2, body2)
     if cls is Pi or cls is Sigma:
         x, dom, cod = (
             (t.binder, t.domain, t.codomain) if cls is Pi
             else (t.binder, t.fst_type, t.snd_type))
-        dom2 = _subst_many(dom, sigma)
-        x2, [cod2] = _bind_many(x, [cod], sigma)
+        dom2 = _subst(dom, sigma, fvs)
+        x2, [cod2] = _bind(x, [cod], sigma, fvs)
         return cls(x2, dom2, cod2)
-    if cls is Fst or cls is Snd:
-        return cls(_subst_many(t.pair, sigma))
-    if cls is Refl:
-        return Refl(_subst_many(t.arg, sigma))
-    if cls is IdType:
-        return IdType(_subst_many(t.ambient, sigma), _subst_many(t.lhs, sigma),
-                      _subst_many(t.rhs, sigma))
-    if cls is JElim:
-        return JElim(_subst_many(t.motive, sigma), _subst_many(t.base, sigma),
-                     _subst_many(t.path, sigma))
     if cls is ShapeTy:
-        x2, [tope2] = _bind_many(t.binder, [t.tope], sigma)
+        x2, [tope2] = _bind(t.binder, [t.tope], sigma, fvs)
         return ShapeTy(x2, t.sort, tope2)
     if cls is Extension:
-        dom2 = _subst_many(t.domain, sigma)
-        x2, [phi2, fam2, part2] = _bind_many(
-            t.binder, [t.subtope, t.family, t.partial], sigma)
-        return Extension(x2, dom2, phi2, fam2, part2)
-    if cls is RecOr:
-        return RecOr(_subst_many(t.left_tope, sigma), _subst_many(t.right_tope, sigma),
-                     _subst_many(t.left, sigma), _subst_many(t.right, sigma))
+        dom2 = _subst(t.domain, sigma, fvs)
+        x2, pieces = _bind(t.binder, [t.subtope, t.family, t.partial], sigma, fvs)
+        return Extension(x2, dom2, *pieces)
     raise AssertionError(f"free variables {sorted(sigma)} in a {cls.__name__}")
 
 
-# the two children of each node class that has two and binds nothing
-_BINARY = {
-    App: lambda t: (t.fn, t.arg),
-    Pair: lambda t: (t.fst, t.snd),
-    Meet: lambda t: (t.left, t.right),
-    Join: lambda t: (t.left, t.right),
-    TopeEq: lambda t: (t.lhs, t.rhs),
-    TopeLeq: lambda t: (t.lhs, t.rhs),
-    TopeAnd: lambda t: (t.left, t.right),
-    TopeOr: lambda t: (t.left, t.right),
+# `_rebuild` on each node class that binds nothing (``s`` is ``sigma`` and
+# ``f`` is ``fvs``)
+_STEP = {
+    App: lambda t, s, f: App(_subst(t.fn, s, f), _subst(t.arg, s, f)),
+    Pair: lambda t, s, f: Pair(_subst(t.fst, s, f), _subst(t.snd, s, f)),
+    Fst: lambda t, s, f: Fst(_subst(t.pair, s, f)),
+    Snd: lambda t, s, f: Snd(_subst(t.pair, s, f)),
+    Refl: lambda t, s, f: Refl(_subst(t.arg, s, f)),
+    IdType: lambda t, s, f: IdType(
+        _subst(t.ambient, s, f), _subst(t.lhs, s, f), _subst(t.rhs, s, f)),
+    JElim: lambda t, s, f: JElim(
+        _subst(t.motive, s, f), _subst(t.base, s, f), _subst(t.path, s, f)),
+    RecOr: lambda t, s, f: RecOr(_subst(t.left_tope, s, f), _subst(t.right_tope, s, f),
+                                 _subst(t.left, s, f), _subst(t.right, s, f)),
+    Meet: lambda t, s, f: Meet(_subst(t.left, s, f), _subst(t.right, s, f)),
+    Join: lambda t, s, f: Join(_subst(t.left, s, f), _subst(t.right, s, f)),
+    TopeEq: lambda t, s, f: TopeEq(_subst(t.lhs, s, f), _subst(t.rhs, s, f)),
+    TopeLeq: lambda t, s, f: TopeLeq(_subst(t.lhs, s, f), _subst(t.rhs, s, f)),
+    TopeAnd: lambda t, s, f: TopeAnd(_subst(t.left, s, f), _subst(t.right, s, f)),
+    TopeOr: lambda t, s, f: TopeOr(_subst(t.left, s, f), _subst(t.right, s, f)),
 }
 
 

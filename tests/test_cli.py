@@ -126,6 +126,15 @@ class TestRobustness:
             f"error: cannot write the cache directory {cache_dir}: ")
         assert err.count("\n") == 1 and err.endswith("\n")
 
+    def test_empty_cache_dir_is_a_usage_error(self, run_cli, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "ok.stt", "def a : U1 := U;\n")
+        assert run_cli("ok.stt", cache_dir="") == (
+            2, "", "error: the cache directory must not be empty\n")
+        assert os.listdir(tmp_path) == ["ok.stt"]
+        assert run_cli("ok.stt", "--no-cache", cache_dir="")[0] == 0
+        assert os.listdir(tmp_path) == ["ok.stt"]
+
     def test_leading_byte_order_mark_is_accepted(self, run_cli, tmp_path):
         f = tmp_path / "bom.stt"
         f.write_bytes(b"\xef\xbb\xbfdef a : U1 := U;\n")

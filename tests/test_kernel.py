@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genterms import NAMES, random_term
-from kernel_oracle import InnermostChecker, check_boundary
+from kernel_oracle import InnermostChecker, check_boundary, reference_subst
 from stt.kernel import Checker, Ctx, KernelError, _split_tope, check_module
 from stt.parser import parse_module, parse_term
 from stt.syntax import (
@@ -46,13 +46,22 @@ def make_checker(src=HEADER, checker=Checker):
     return checker(env, solver=Solver())
 
 
-def _forget_free_vars(t):
-    """Drop the free variables cached on t and on every node under it."""
-    vars(t).pop("_fv", None)
+def _subterms(t):
+    yield t
     for f in dataclasses.fields(t):
         child = getattr(t, f.name)
         if dataclasses.is_dataclass(child):
-            _forget_free_vars(child)
+            yield from _subterms(child)
+
+
+def assert_cached_free_vars_are_walked(t):
+    """Every free-variable set cached under t, those a substitution set on
+    the nodes it rebuilt included, is the one a fresh walk finds."""
+    free_vars(t)
+    nodes = list(_subterms(t))
+    cached = [vars(n).pop("_fv", None) for n in nodes]
+    for n, fv in zip(nodes, cached):
+        assert fv is None or free_vars(n) == fv
 
 
 class TestSubstMany:
@@ -69,15 +78,22 @@ class TestSubstMany:
         fresh = {x: fresh_name("z") for x in sigma}
         expected = t
         for x, z in fresh.items():
-            expected = subst(expected, x, Var(z))
+            expected = reference_subst(expected, x, Var(z))
         for x, z in fresh.items():
-            expected = subst(expected, z, sigma[x])
+            expected = reference_subst(expected, z, sigma[x])
         out = subst_many(t, sigma)
         assert alpha_eq(out, expected)
-        # the free variables set on the rebuilt nodes are the walked ones
-        cached = free_vars(out)
-        _forget_free_vars(out)
-        assert free_vars(out) == cached
+        assert_cached_free_vars_are_walked(out)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from(NAMES))
+    def test_one_name_agrees_with_the_reference_walk(self, seed, depth, x):
+        rng = random.Random(seed)
+        t = random_term(rng, depth)
+        v = random_term(rng, rng.randrange(3))
+        out = subst(t, x, v)
+        assert alpha_eq(out, reference_subst(t, x, v))
+        assert_cached_free_vars_are_walked(out)
 
     def test_renaming_to_itself_is_no_substitution(self):
         t = parse_term(r"\z . x (y z) x")
