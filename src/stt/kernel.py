@@ -1,7 +1,9 @@
 """Bidirectional type checker for the dependent layer.
 
-Judgmental equality is untyped weak-head normalization plus type-directed
-eta (for Pi, Sigma and extension types), with three tope-sensitive rules:
+Judgmental equality is reflexivity (α-equal sides are equal at once,
+without unfolding either) plus untyped weak-head normalization and
+type-directed eta (for Pi, Sigma and extension types), with three
+tope-sensitive rules:
 
   * boundary computation: applying a neutral of extension type reduces to
     the partial section whenever the context topes entail the subtope at
@@ -33,7 +35,7 @@ from .syntax import (
     IdType, Interval, JElim, Join, Lam, Meet, Pair, Pi, RecBot, RecOr, Refl,
     ShapeTy, Sigma, Snd, SourceModule, Term, Tope, TopeAnd, TopeBinder,
     TopeBot, TopeOr, TopeTop, TypedBinder, Universe, Var, allow_deep_recursion,
-    free_vars, fresh_name, subst, subst_many,
+    alpha_eq, free_vars, fresh_name, subst, subst_many,
 )
 
 BOT = TopeBot()
@@ -437,6 +439,8 @@ class Checker:
         if sp is not None:
             return self.def_equal(sp[0], ty, a, b) and self.def_equal(sp[1], ty, a, b)
         if self.inconsistent(ctx):
+            return True
+        if a is b or alpha_eq(a, b):
             return True
         if ty is not None:
             tyw = self.whnf(ctx, ty)

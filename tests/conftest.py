@@ -25,3 +25,13 @@ def run_cli(tmp_path, capsys):
         return code, captured.out, captured.err
 
     return _run
+
+
+@pytest.fixture
+def unfolding_kernel(monkeypatch):
+    """Check with `kernel_oracle.UnfoldingChecker` in place of `Checker`,
+    the kernel that unfolds α-equal sides instead of stopping at them."""
+    import stt.kernel
+    from kernel_oracle import UnfoldingChecker
+
+    monkeypatch.setattr(stt.kernel, "Checker", UnfoldingChecker)

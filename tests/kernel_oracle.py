@@ -10,14 +10,26 @@ at once; the tests compare the two.
 comparison the kernel makes when it checks a term against an extension
 type.
 
+``UnfoldingChecker`` is the kernel as it was before `Checker.def_equal`
+tested reflexivity: it reduces and compares both sides even when they are
+α-equal.  The tests pin the solver queries of both and check that they
+reach the same verdicts.
+
 ``reference_subst`` substitutes one name in its own walk, renaming a
 capturing binder by a separate substitution before it descends; the tests
 compare `subst` and `subst_many` with it.
+
+``debruijn`` writes a term with de Bruijn indices for its bound variables,
+the reference `alpha_eq` is tested against.  ``rename_binders`` gives every
+binder of a term a name that occurs nowhere else.
 """
 
 from __future__ import annotations
 
-from stt.kernel import Checker, Ctx
+import dataclasses
+from typing import Optional
+
+from stt.kernel import Checker, Ctx, KernelError
 from stt.syntax import (
     App, Extension, Fst, IdType, JElim, Join, Lam, Meet, Pair, Pi, RecOr, Refl,
     ShapeTy, Sigma, Snd, Term, Tope, TopeAnd, TopeEq, TopeLeq, TopeOr, Var,
@@ -57,6 +69,50 @@ class InnermostChecker(Checker):
                 return t
         # the other cases never take a further step on the result
         return super().whnf(ctx, t)
+
+
+class UnfoldingChecker(Checker):
+    def def_equal(self, ctx: Ctx, ty: Optional[Term], a: Term, b: Term) -> bool:
+        sp = ctx.split()
+        if sp is not None:
+            return self.def_equal(sp[0], ty, a, b) and self.def_equal(sp[1], ty, a, b)
+        if self.inconsistent(ctx):
+            return True
+        if ty is not None:
+            tyw = self.whnf(ctx, ty)
+            match tyw:
+                case Pi(x, dom, cod):
+                    x2, [cod2] = self.open_binder(ctx, x, [cod])
+                    ctx2 = ctx.bind_var(x2, dom)
+                    return self.def_equal(ctx2, cod2, App(a, Var(x2)), App(b, Var(x2)))
+                case Extension(x, dom, _, fam, _):
+                    sh = self.resolve_shape(ctx, dom)
+                    x2, [fam2] = self.open_binder(ctx, x, [fam])
+                    ctx2 = ctx.bind_cube(x2, sh.sort).constrain(
+                        subst(sh.tope, sh.binder, Var(x2)))
+                    return self.def_equal(ctx2, fam2, App(a, Var(x2)), App(b, Var(x2)))
+                case Sigma(x, dom, cod):
+                    if not self.def_equal(ctx, dom, Fst(a), Fst(b)):
+                        return False
+                    return self.def_equal(ctx, subst(cod, x, Fst(a)), Snd(a), Snd(b))
+                case ShapeTy(x, _, _):
+                    try:
+                        return self.cube_equal(ctx, self.read_cube(ctx, a),
+                                               self.read_cube(ctx, b))
+                    except KernelError:
+                        return False
+        aw = self.whnf(ctx, a)
+        bw = self.whnf(ctx, b)
+        # stuck disjunction glue: split along the eliminator's topes
+        for side, other in ((aw, bw), (bw, aw)):
+            if isinstance(side, RecOr):
+                lt = self.read_tope(ctx, side.left_tope)
+                rt = self.read_tope(ctx, side.right_tope)
+                return (
+                    self.def_equal(ctx.constrain(lt), ty, side, other)
+                    and self.def_equal(ctx.constrain(rt), ty, side, other)
+                )
+        return self._struct_equal(ctx, aw, bw)
 
 
 def check_boundary(
@@ -186,3 +242,65 @@ _BINARY = {
     TopeAnd: lambda t: (t.left, t.right),
     TopeOr: lambda t: (t.left, t.right),
 }
+
+
+# the fields that each binding node class scopes its binder over; every
+# other field of such a node lies outside the binder
+_SCOPES = {
+    Lam: ("body",),
+    Pi: ("codomain",),
+    Sigma: ("snd_type",),
+    ShapeTy: ("tope",),
+    Extension: ("subtope", "family", "partial"),
+}
+
+
+def is_node(v) -> bool:
+    """A term or tope node: the frozen dataclasses without value equality
+    (cube sorts compare by value)."""
+    params = getattr(v, "__dataclass_params__", None)
+    return params is not None and params.frozen and not params.eq
+
+
+def debruijn(t, bound: tuple = ()):
+    """``t`` as nested tuples, each bound variable replaced by the number of
+    binders between it and its own, and binder names left out.  Two terms
+    are α-equal exactly when these forms are equal."""
+    cls = type(t)
+    if cls is Var:
+        if t.name in bound:
+            return ("bound", bound.index(t.name))
+        return ("free", t.name)
+    scope = _SCOPES.get(cls, ())
+    inner = (t.binder, *bound) if scope else bound
+    out = [cls.__name__]
+    for f in dataclasses.fields(t):
+        if scope and f.name == "binder":
+            continue
+        v = getattr(t, f.name)
+        if is_node(v):
+            v = debruijn(v, inner if f.name in scope else bound)
+        out.append(v)  # a universe level or a cube sort stays as it is
+    return tuple(out)
+
+
+def rename_binders(t, renaming: Optional[dict[str, str]] = None):
+    """A copy of ``t`` in which every binder takes a fresh name, and every
+    occurrence bound by it follows."""
+    renaming = renaming or {}
+    cls = type(t)
+    if cls is Var:
+        return Var(renaming.get(t.name, t.name))
+    scope = _SCOPES.get(cls, ())
+    if scope:
+        new = fresh_name(t.binder)
+        inner = {**renaming, t.binder: new}
+    fields = {}
+    for f in dataclasses.fields(t):
+        v = getattr(t, f.name)
+        if scope and f.name == "binder":
+            v = new
+        elif is_node(v):
+            v = rename_binders(v, inner if f.name in scope else renaming)
+        fields[f.name] = v
+    return cls(**fields)

@@ -1,5 +1,6 @@
 """CLI driver: exit codes, JSON output, resolution, cache behavior."""
 
+import glob
 import json
 import os
 import shutil
@@ -11,12 +12,30 @@ import pytest
 from conftest import CORPUS, NEGATIVE, REPO
 
 GOLDEN_STT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden_eq.stt")
+GOLDEN_OUT = os.path.join(os.path.dirname(GOLDEN_STT), "golden_eq.out")
+GOLDEN_UNFOLDING_OUT = os.path.join(os.path.dirname(GOLDEN_STT), "golden_eq_unfolding.out")
 
 
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return str(p)
+
+
+def record_stores(monkeypatch) -> list[str]:
+    """The list to which each later `Cache.store` appends its module's
+    name."""
+    from stt.cache import Cache
+
+    stored = []
+    store = Cache.store
+
+    def recording_store(self, key, report, interface):
+        stored.append(report.module)
+        store(self, key, report, interface)
+
+    monkeypatch.setattr(Cache, "store", recording_store)
+    return stored
 
 
 def run_python(*args):
@@ -262,6 +281,23 @@ class TestTrace:
         golden = open(os.path.join(os.path.dirname(GOLDEN_STT), "golden_eq.out")).read()
         assert out + err == golden or out == golden
 
+    def test_golden_trace_unfolding(self, run_cli, unfolding_kernel):
+        code, out, err = run_cli(GOLDEN_STT, "--trace-tope")
+        assert code == 0
+        assert out == open(GOLDEN_UNFOLDING_OUT, encoding="utf-8").read()
+
+    def test_trace_is_a_subsequence_of_the_unfolding_trace(self):
+        """Stopping at α-equal sides only leaves queries out: every query of
+        the golden trace comes, in the same order, in the trace of the
+        kernel that unfolds them.  The first line is the summary."""
+        def queries(path):
+            return open(path, encoding="utf-8").read().splitlines()[1:]
+
+        new, old = queries(GOLDEN_OUT), queries(GOLDEN_UNFOLDING_OUT)
+        rest = iter(old)
+        assert all(line in rest for line in new)
+        assert (len(new), len(old)) == (756, 934)
+
 
 class TestCache:
     def test_second_run_hits(self, run_cli, tmp_path):
@@ -302,21 +338,12 @@ class TestCache:
         assert json.loads(out)["module"] == "b"
 
     def test_comment_rechecks_only_its_module(self, run_cli, tmp_path, monkeypatch):
-        from stt.cache import Cache
-
         base = tmp_path / "base.stt"
         base.write_text("def X : U := {t : I | TOP};\n")
         user = write(tmp_path, "user.stt", "import base;\ndef g (x : X) : X := x;\n")
         cache = tmp_path / "cache"
         first = run_cli(user, "--json", cache_dir=cache)
-        stored = []
-        store = Cache.store
-
-        def recording_store(self, key, report, interface):
-            stored.append(report.module)
-            store(self, key, report, interface)
-
-        monkeypatch.setattr(Cache, "store", recording_store)
+        stored = record_stores(monkeypatch)
         base.write_text(base.read_text() + "-- a comment\n")
         assert run_cli(user, "--json", cache_dir=cache) == first
         assert stored == ["base"]
@@ -366,6 +393,24 @@ class TestCache:
         for heavy in ("parser", "lexer", "kernel", "topes", "syntax", "printer"):
             assert f"'stt.{heavy}'" not in loaded
 
+    def test_entry_of_an_older_version_is_a_miss(self, run_cli, tmp_path, monkeypatch):
+        """A report stored by 0.1.0, whose kernel made more solver queries,
+        is checked again, not replayed."""
+        import stt
+        import stt.cache
+
+        assert stt.__version__ != "0.1.0"
+        f = write(tmp_path, "m.stt", "def a : U := {t : I | TOP};\n")
+        cache = tmp_path / "cache"
+        stored = record_stores(monkeypatch)
+        with monkeypatch.context() as old_version:
+            old_version.setattr(stt.cache, "__version__", "0.1.0")
+            first = run_cli(f, "--json", cache_dir=cache)
+            assert run_cli(f, "--json", cache_dir=cache) == first
+            assert stored == ["m"]  # the second run under 0.1.0 hit
+        assert run_cli(f, "--json", cache_dir=cache) == first
+        assert stored == ["m", "m"]
+
     def test_no_cache_bypasses(self, run_cli, tmp_path):
         f = write(tmp_path, "m.stt", "def a : U := {t : I | TOP};\n")
         cache = tmp_path / "cache"
@@ -402,3 +447,30 @@ def test_negative_corpus(run_cli, name, code, exit_code):
         for d in json.loads(line)["diagnostics"]
     }
     assert codes == {code}
+
+
+VERDICT_FILES = [
+    os.path.join(CORPUS, "all.stt"),
+    GOLDEN_STT,
+    *sorted(glob.glob(os.path.join(NEGATIVE, "*.stt"))),
+]
+
+
+@pytest.mark.parametrize("path", VERDICT_FILES, ids=os.path.basename)
+def test_reflexivity_keeps_every_verdict(run_cli, monkeypatch, path):
+    """Stopping at α-equal sides changes no module's status, count of
+    checked declarations or diagnostics, and no exit code: only the number
+    of solver queries."""
+    import stt.kernel
+    from kernel_oracle import UnfoldingChecker
+
+    def verdicts():
+        code, out, err = run_cli(path, "--json")
+        reports = [json.loads(line) for line in out.splitlines()]
+        for r in reports:
+            del r["stats"]["solver_queries"]
+        return code, reports, err
+
+    reflexive = verdicts()
+    monkeypatch.setattr(stt.kernel, "Checker", UnfoldingChecker)
+    assert verdicts() == reflexive

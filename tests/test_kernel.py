@@ -1,14 +1,20 @@
 """Kernel: reduction, definitional equality, checking, declarations."""
 
+import collections
 import dataclasses
 import os
 import random
+import typing
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from genterms import NAMES, random_term
-from kernel_oracle import InnermostChecker, check_boundary, reference_subst
+from kernel_oracle import (
+    InnermostChecker, check_boundary, debruijn, is_node, reference_subst,
+    rename_binders,
+)
+from stt import syntax
 from stt.kernel import Checker, Ctx, KernelError, _split_tope, check_module
 from stt.parser import parse_module, parse_term
 from stt.syntax import (
@@ -101,6 +107,115 @@ class TestSubstMany:
         out = subst_many(t, {"x": Var("x"), "y": Var("b")})
         assert alpha_eq(out, parse_term(r"\z . x (b z) x"))
         assert subst_many(t, {"x": Var("x"), "y": Var("y")}) is t
+
+
+def _relabel(t, rng: random.Random, p: float):
+    """A copy of ``t`` in which each binder and each variable occurrence
+    keeps its name or, with probability ``p``, takes one drawn from NAMES.
+    The copy may or may not be α-equal to ``t``."""
+    if not is_node(t):
+        return t
+    fields = {}
+    for f in dataclasses.fields(t):
+        v = getattr(t, f.name)
+        if f.name in ("binder", "name") and rng.random() < p:
+            v = rng.choice(NAMES)
+        fields[f.name] = _relabel(v, rng, p)
+    return type(t)(**fields)
+
+
+class TestAlphaEq:
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 4))
+    def test_agrees_with_de_bruijn_forms(self, seed, depth):
+        # genterms draws every name from a pool of eight, so relabelled
+        # copies shadow, capture and swap names at random
+        rng = random.Random(seed)
+        a = random_term(rng, depth)
+        for b in (_relabel(a, rng, 0.15), _relabel(a, rng, 0.5),
+                  random_term(rng, depth)):
+            assert alpha_eq(a, b) == (debruijn(a) == debruijn(b))
+            assert alpha_eq(b, a) == alpha_eq(a, b)
+
+    def test_relabelled_pairs_are_not_vacuous(self):
+        outcomes = collections.Counter()
+        for seed in range(300):
+            rng = random.Random(seed)
+            a = random_term(rng, 3)
+            outcomes[alpha_eq(a, _relabel(a, rng, 0.15))] += 1
+        assert outcomes[True] >= 50 and outcomes[False] >= 50, outcomes
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 4))
+    def test_renamed_binders_are_equal(self, seed, depth):
+        a = random_term(random.Random(seed), depth)
+        b = rename_binders(a)
+        assert alpha_eq(a, b) and alpha_eq(b, a)
+        assert debruijn(a) == debruijn(b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.data())
+    def test_a_changed_free_name_is_not_equal(self, seed, depth, data):
+        a = random_term(random.Random(seed), depth)
+        assume(free_vars(a))
+        x = data.draw(st.sampled_from(sorted(free_vars(a))))
+        b = reference_subst(a, x, Var("w"))  # "w" is not in NAMES
+        assert not alpha_eq(a, b) and not alpha_eq(b, a)
+        assert debruijn(a) != debruijn(b)
+
+
+def _node_classes():
+    return [c for c in vars(syntax).values()
+            if isinstance(c, type) and c.__module__ == syntax.__name__
+            and is_node(c)]
+
+
+def _instance(cls, other_literal=None):
+    """One ``cls`` node: its binder named ``x``, every child the free
+    variable ``y`` (a tope child ``y == 0``), a level 0 and a sort ``I``.
+    The field named ``other_literal`` gets level 1 or sort ``1`` instead."""
+    fields = {}
+    for f in dataclasses.fields(cls):
+        kind = f.type.strip("'\"")
+        fields[f.name] = {
+            "str": "x" if f.name == "binder" else "y",
+            "int": 1 if f.name == other_literal else 0,
+            "CubeSort": UnitCube() if f.name == other_literal else Interval(),
+            "Term": Var("y"),
+            "Tope": TopeEq(Var("y"), Cube0()),
+        }[kind]
+    return cls(**fields)
+
+
+class TestNodeClasses:
+    """Every walk over the syntax knows every node class: a class that
+    one of them misses fails here rather than at run time."""
+
+    def test_the_node_classes_are_the_terms_and_topes(self):
+        assert set(_node_classes()) == (
+            set(typing.get_args(syntax.Term)) | set(typing.get_args(syntax.Tope)))
+
+    @pytest.mark.parametrize("cls", _node_classes(), ids=lambda c: c.__name__)
+    def test_walks(self, cls):
+        t = _instance(cls)
+        assert alpha_eq(t, _instance(cls))
+        assert debruijn(t) == debruijn(_instance(cls))
+        for f in dataclasses.fields(cls):
+            if f.type.strip("'\"") in ("int", "CubeSort"):
+                assert not alpha_eq(t, _instance(cls, other_literal=f.name))
+        fv = free_vars(_instance(cls))  # a fresh node: nothing cached yet
+        if not fv:
+            assert not any(is_node(getattr(t, f.name)) for f in dataclasses.fields(t))
+            assert subst(t, "y", Var("z")) is t
+            return
+        assert fv == {"y"}
+        for value in ("z", "x"):  # "x" would be captured by the binder
+            out = subst(t, "y", Var(value))
+            assert type(out) is cls
+            assert free_vars(out) == {value}
+            assert_cached_free_vars_are_walked(out)
+            assert not alpha_eq(t, out)
+            assert debruijn(out) == debruijn(reference_subst(t, "y", Var(value)))
 
 
 class TestWhnf:

@@ -14,9 +14,9 @@ from conftest import REPO
 
 SRC = os.path.join(REPO, "src", "stt")
 
-# public entry points: the console script, and the term parser and
-# alpha-equivalence that library users call
-ENTRY_POINTS = {"main", "parse_term", "alpha_eq"}
+# public entry points: the console script, and the term parser that
+# library users call
+ENTRY_POINTS = {"main", "parse_term"}
 
 
 def _definitions(tree: ast.Module):
