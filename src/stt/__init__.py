@@ -1,3 +1,3 @@
 """A proof checker for a simplicial dependent type theory."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

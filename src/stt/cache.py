@@ -10,7 +10,14 @@ A module has three hashes:
 * Its **report key** (``module_key``) is the source key plus the interface
   hash of each import, in the order the module lists its imports.  Under it
   the *report* entry holds the module's report and, when the report is
-  ``ok``, the module's interface hash.
+  ``ok``, the module's interface hash.  An ``ok`` report also has an *env*
+  entry under the same key, written just before it: the module's own
+  environment entries (name, kind, module, type and value), with each term
+  in the flat JSON form of ``syntax.encode_term``.  A later run that checks
+  a module importing this one loads them instead of parsing this module.
+  Since the key covers the source and everything the module imports, the
+  stored entries are the ones checking the module again would make, up to
+  the generated names, which loading renames.
 * Its **interface hash**, once it checks, covers what a dependent can
   observe of it: the interface hashes of its imports, in import order
   (which decides the winner of a name clash when their environments are
@@ -23,7 +30,11 @@ A change that leaves a module's interface as it was (a comment, say) thus
 rechecks that module only: its dependents' report keys stay the same.  Two
 modules with the same bytes never share an entry, since the module name and
 the diagnostic spans of a report name the file.  A malformed entry is a
-miss and sets ``corrupt`` for the caller to report.
+miss and sets ``corrupt`` for the caller to report; so does an env entry
+that is missing beside its ``ok`` report.  The terms of an env entry are
+decoded by the kernel, through a fixed table of node classes, so reading
+the cache runs no code it holds and this module loads neither the parser
+nor the kernel.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import __version__
 from .diagnostics import CheckReport, Diagnostic
@@ -77,7 +88,7 @@ def interface_hash(import_interfaces: list[str], entries: Iterable) -> str:
 
 
 class Cache:
-    """Header and report entries under ``root``, for one solver capacity.
+    """Header, report and env entries under ``root``, for one solver capacity.
     ``hits`` and ``misses`` count report lookups."""
 
     def __init__(self, root: str, capacity: int):
@@ -100,10 +111,13 @@ class Cache:
             return None
 
     def _write(self, path: str, data: dict) -> None:
+        # one string from the C encoder: json.dump streams through the
+        # pure-Python one
+        text = json.dumps(data, sort_keys=True)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, sort_keys=True)
+            fh.write(text)
         os.replace(tmp, path)
 
     def load_imports(self, key: str) -> Optional[list[str]]:
@@ -155,6 +169,22 @@ class Cache:
             self.misses += 1
             self.corrupt = True
             return None
+
+    def load_env(self, key: str, build: Callable[[list], dict]) -> Optional[dict]:
+        """What ``build`` makes of the environment entries stored under a
+        report key; None, and ``corrupt`` set, if they are missing (an ``ok``
+        report's entries are stored before it) or ``build`` raises."""
+        try:
+            data = self._read(self._path(key, ".env.json"))
+            if data is None:
+                raise ValueError("an ok report without its entries")
+            return build(data["entries"])
+        except Exception:  # any damaged entry is a miss
+            self.corrupt = True
+            return None
+
+    def store_env(self, key: str, entries: list) -> None:
+        self._write(self._path(key, ".env.json"), {"entries": entries})
 
     def store(self, key: str, report: CheckReport,
               interface: Optional[str]) -> None:

@@ -168,26 +168,63 @@ def check_modules(
 
     A module with a failed import is not checked.  With a cache, a module
     whose report key hits is neither parsed nor checked: its report is
-    reused.  A module is parsed, and its environment built, only when it or
-    a module that imports it is checked; a module read from the cache then
-    replays its declarations through ``build_env``.  The solver, with
-    ``trace`` as its query log, is made for the first module checked.
+    reused.  A module that checks ``ok`` also stores its own environment
+    entries under its report key, before its report.  A module checked
+    later that imports one read from the cache loads that module's entries
+    from there (`kernel.build_env`), without parsing it; entries that are
+    missing or damaged are a corrupt entry, and that module is checked
+    again, which stores them again.  The solver, with ``trace`` as its
+    query log, is made for the first module checked.
     """
     reports: dict[str, CheckReport] = {}
     interfaces: dict[str, Optional[str]] = {}
+    keys: dict[str, str] = {}
     envs: dict[str, dict] = {}
     solver = None
 
     def imported_env(resolved: ResolvedModule) -> dict:
         env: dict = {}
         for imp in resolved.imports:
-            if imp not in envs:
-                from .kernel import build_env
-
-                envs[imp] = build_env(
-                    modules[imp].parse(), imported_env(modules[imp]), solver)
+            if imp not in envs:  # imp's report came from the cache
+                envs[imp] = load_env(modules[imp])
             env.update(envs[imp])
         return env
+
+    def load_env(resolved: ResolvedModule) -> dict:
+        from .kernel import build_env
+
+        env = imported_env(resolved)
+        loaded = cache.load_env(
+            keys[resolved.name], lambda entries: build_env(entries, env))
+        _warn_if_corrupt(cache, resolved.name, "rechecking")
+        if loaded is None:
+            check(resolved)
+            loaded = envs[resolved.name]
+        return loaded
+
+    def check(resolved: ResolvedModule) -> CheckReport:
+        nonlocal solver
+        from .kernel import check_module, dump_entries
+
+        if solver is None:
+            from .topes import Solver
+
+            solver = Solver(capacity=capacity, trace=trace)
+        name = resolved.name
+        module = resolved.parse()
+        env = imported_env(resolved)
+        report, envs[name] = check_module(
+            module, env, solver, parse_diagnostics=resolved.parse_diagnostics)
+        if cache is not None:
+            # check_module extends env with the module's own entries, in order
+            own = list(itertools.islice(envs[name].values(), len(env), None))
+            interfaces[name] = None
+            if report.ok:
+                interfaces[name] = interface_hash(
+                    [interfaces[imp] for imp in resolved.imports], own)
+                cache.store_env(keys[name], dump_entries(own))
+            cache.store(keys[name], report, interfaces[name])
+        return report
 
     for name, resolved in modules.items():
         failed_imports = sorted(
@@ -201,30 +238,14 @@ def check_modules(
             reports[name] = report
             continue
         if cache is not None:
-            import_interfaces = [interfaces[imp] for imp in resolved.imports]
-            key = module_key(resolved.key, import_interfaces)
-            hit = cache.load(key)
+            keys[name] = module_key(
+                resolved.key, [interfaces[imp] for imp in resolved.imports])
+            hit = cache.load(keys[name])
             _warn_if_corrupt(cache, name, "rechecking")
             if hit is not None:
                 reports[name], interfaces[name] = hit
                 continue
-        from .kernel import check_module
-
-        if solver is None:
-            from .topes import Solver
-
-            solver = Solver(capacity=capacity, trace=trace)
-        module = resolved.parse()
-        env = imported_env(resolved)
-        report, envs[name] = check_module(
-            module, env, solver, parse_diagnostics=resolved.parse_diagnostics)
-        if cache is not None:
-            # check_module extends env with the module's own entries, in order
-            own = itertools.islice(envs[name].values(), len(env), None)
-            interfaces[name] = (
-                interface_hash(import_interfaces, own) if report.ok else None)
-            cache.store(key, report, interfaces[name])
-        reports[name] = report
+        reports[name] = check(resolved)
     return reports
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import topes
 from .diagnostics import CheckReport, Diagnostic
@@ -35,7 +35,8 @@ from .syntax import (
     IdType, Interval, JElim, Join, Lam, Meet, Pair, Pi, RecBot, RecOr, Refl,
     ShapeTy, Sigma, Snd, SourceModule, Term, Tope, TopeAnd, TopeBinder,
     TopeBot, TopeOr, TopeTop, TypedBinder, Universe, Var, allow_deep_recursion,
-    alpha_eq, free_vars, fresh_name, subst, subst_many,
+    alpha_eq, decode_term, encode_term, free_vars, fresh_name, subst,
+    subst_many,
 )
 
 BOT = TopeBot()
@@ -58,96 +59,137 @@ class CannotSynth(Exception):
 # contexts
 
 
-@dataclass(frozen=True)
-class Ctx:
-    """Interleaved telescope of cube variables, tope constraints and typed
-    variables.
+class _Names:
+    """One version of a family of name indexes, after Baker's rerooting
+    (Conchon and Filliâtre, "A persistent union-find data structure", ML
+    Workshop 2007).  The versions of a family share one dict, which holds
+    the bindings of the version that used it last; every other version
+    holds the one change that leads from it to a neighbour.  Making a
+    version current reverses the changes on the path to it, so a context
+    that extends the one used last, as checking a chain of binders does,
+    binds and looks up in constant time."""
 
-    A context is immutable, so it computes its name index, cube context,
-    hypothesis conjunction and first disjunctive split once each, on first
-    use, and keeps them as attributes that are not dataclass fields.  A
-    context made from another one starts with those of its parent's that
-    the change leaves as they are: the solver recognises a cube context it
-    has seen by identity."""
+    __slots__ = ("data",)
 
-    entries: tuple = ()
+    def __init__(self, data: dict):
+        self.data = data  # the dict, or (name, entry or None, neighbour)
 
-    def bind_var(self, name: str, ty: Optional[Term]) -> "Ctx":
-        return self._derive(self.entries + (("var", name, ty),), "_cubes", "_conj")
-
-    def bind_cube(self, name: str, sort: CubeSort) -> "Ctx":
-        return self._derive(self.entries + (("cube", name, sort),), "_conj")
-
-    def constrain(self, tope: Tope) -> "Ctx":
-        return self._derive(self.entries + (("tope", tope),), "_cubes")
-
-    def _derive(self, entries: tuple, *kept: str) -> "Ctx":
-        ctx = Ctx(entries)
-        known = self.__dict__
-        for attr in kept:
-            if attr in known:
-                object.__setattr__(ctx, attr, known[attr])
-        return ctx
-
-    def _index(self) -> dict:
-        # a later binding of a name overwrites an earlier one
-        index = {e[1]: e for e in self.entries if e[0] != "tope"}
-        object.__setattr__(self, "_names", index)
+    def index(self) -> dict:
+        """The shared dict, made to hold this version's bindings."""
+        path = []
+        v = self
+        while type(v.data) is not dict:
+            path.append(v)
+            v = v.data[2]
+        index = v.data
+        for u in reversed(path):
+            name, entry, neighbour = u.data
+            neighbour.data = (name, index.get(name), u)
+            if entry is None:
+                del index[name]
+            else:
+                index[name] = entry
+            u.data = index
         return index
 
+    def bind(self, name: str, entry: tuple) -> "_Names":
+        index = self.index()
+        child = _Names(index)
+        self.data = (name, index.get(name), child)
+        index[name] = entry
+        return child
+
+
+class Ctx:
+    """Interleaved telescope of cube variables, tope constraints and typed
+    variables: the empty context, or a parent context and one more entry.
+
+    A context is immutable.  It makes its name index, cube context and
+    hypothesis conjunction from its parent's when it is made, so that a
+    chain of binders costs time linear in its length: the name index is a
+    version of its parent's (`_Names`), and only a cube binder copies its
+    parent's cube context; any other context shares it, since the solver
+    recognises a cube context it has seen by identity.  Its first
+    disjunctive split is made from its parent's, once, on first use."""
+
+    __slots__ = ("parent", "entry", "_names", "_cubes", "_conj", "_split")
+
+    def __init__(self) -> None:
+        self.parent: Optional[Ctx] = None
+        self.entry: Optional[tuple] = None
+        self._names = _Names({})
+        self._cubes: tuple[tuple[str, CubeSort], ...] = ()
+        self._conj: Optional[Tope] = None
+        self._split: Optional[tuple[Ctx, Ctx]] = None
+
+    def bind_var(self, name: str, ty: Optional[Term]) -> "Ctx":
+        return self._extend(("var", name, ty))
+
+    def bind_cube(self, name: str, sort: CubeSort) -> "Ctx":
+        return self._extend(("cube", name, sort))
+
+    def constrain(self, tope: Tope) -> "Ctx":
+        return self._extend(("tope", tope))
+
+    def _extend(self, entry: tuple, like: Optional["Ctx"] = None) -> "Ctx":
+        """This context and ``entry``; given ``like``, a context with the
+        same names and cubes, they are ``like``'s."""
+        ctx = object.__new__(Ctx)
+        ctx.parent = self
+        ctx.entry = entry
+        kind = entry[0]
+        if like is not None:
+            ctx._names, ctx._cubes = like._names, like._cubes
+        else:
+            ctx._names = (
+                self._names if kind == "tope" else self._names.bind(entry[1], entry))
+            ctx._cubes = (
+                self._cubes + ((entry[1], entry[2]),) if kind == "cube" else self._cubes)
+        if kind == "tope":
+            conj = self._conj
+            ctx._conj = entry[1] if conj is None else TopeAnd(conj, entry[1])
+        else:
+            ctx._conj = self._conj
+        return ctx
+
     def lookup(self, name: str):
-        try:
-            return self._names.get(name)
-        except AttributeError:
-            return self._index().get(name)
+        names = self._names
+        index = names.data
+        if type(index) is not dict:
+            index = names.index()
+        return index.get(name)
 
     def names(self):
-        """The bound names, as a set-like view."""
-        try:
-            return self._names.keys()
-        except AttributeError:
-            return self._index().keys()
+        """The bound names, as a set-like view that holds until another
+        context is asked."""
+        return self._names.index().keys()
 
     def cube_context(self) -> tuple[tuple[str, CubeSort], ...]:
-        try:
-            return self._cubes
-        except AttributeError:
-            cubes = tuple((e[1], e[2]) for e in self.entries if e[0] == "cube")
-            object.__setattr__(self, "_cubes", cubes)
-            return cubes
+        return self._cubes
 
     def hyps(self) -> Tope:
-        try:
-            conj = self._conj
-        except AttributeError:
-            conj = None
-            for e in self.entries:
-                if e[0] == "tope":
-                    conj = e[1] if conj is None else TopeAnd(conj, e[1])
-            object.__setattr__(self, "_conj", conj)
-        return conj if conj is not None else TOP
+        return self._conj if self._conj is not None else TOP
 
     def split(self) -> Optional[tuple["Ctx", "Ctx"]]:
-        """Split the first disjunctive tope constraint, if any."""
-        try:
-            return self._split
-        except AttributeError:
-            pass
-        found = None
-        for i, e in enumerate(self.entries):
-            if e[0] != "tope":
-                continue
-            parts = _split_tope(e[1])
-            if parts is not None:
-                before, after = self.entries[:i], self.entries[i + 1:]
-                # a split changes a tope only: the names and cubes stay
-                self.cube_context()
-                found = tuple(
-                    self._derive(before + (("tope", part),) + after, "_names", "_cubes")
-                    for part in parts)
-                break
-        object.__setattr__(self, "_split", found)
-        return found
+        """Split the first disjunctive tope constraint, if any.  Below that
+        constraint, each half extends the half of the parent's split."""
+        pending = []
+        ctx = self
+        while not hasattr(ctx, "_split"):
+            pending.append(ctx)
+            ctx = ctx.parent
+        for ctx in reversed(pending):
+            parent, entry = ctx.parent, ctx.entry
+            found = None
+            if parent._split is not None:
+                found = tuple(half._extend(entry, ctx) for half in parent._split)
+            elif entry[0] == "tope":
+                parts = _split_tope(entry[1])
+                if parts is not None:
+                    found = tuple(
+                        parent._extend(("tope", part), ctx) for part in parts)
+            ctx._split = found
+        return self._split
 
 
 def _split_tope(t: Tope) -> Optional[tuple[Tope, Tope]]:
@@ -873,7 +915,7 @@ class Checker:
 
     # -- declarations ----------------------------------------------------------------
 
-    def check_declaration(self, decl: Declaration, check_bodies: bool = True) -> EnvEntry:
+    def check_declaration(self, decl: Declaration) -> EnvEntry:
         if decl.name in self.env:
             raise KernelError(
                 "IMPORT",
@@ -894,8 +936,7 @@ class Checker:
                         ctx = ctx.bind_cube(x, dw.sort).constrain(stope)
                         binfos.append(["cube", x, dw.sort, stope])
                     else:
-                        if check_bodies:
-                            self.infer_universe(ctx, bty)
+                        self.infer_universe(ctx, bty)
                         ctx = ctx.bind_var(x, bty)
                         binfos.append(["var", x, bty])
                 case TopeBinder(tope):
@@ -910,8 +951,7 @@ class Checker:
                             decl.span)
                     target[3] = TopeAnd(target[3], rtope)
                     ctx = ctx.constrain(rtope)
-        if check_bodies:
-            self.infer_universe(ctx, decl.stated_type)
+        self.infer_universe(ctx, decl.stated_type)
         if decl.body is not None:
             if decl.name in free_vars(decl.body):
                 raise KernelError(
@@ -919,8 +959,7 @@ class Checker:
                     f"{decl.name!r} mentions itself; recursive definitions "
                     "are rejected",
                     decl.name_span)
-            if check_bodies:
-                self.check(ctx, decl.body, decl.stated_type)
+            self.check(ctx, decl.body, decl.stated_type)
         closed_ty = decl.stated_type
         closed_val = decl.body
         for bi in reversed(binfos):
@@ -1006,22 +1045,34 @@ def check_module(
     return report, checker.env
 
 
-def build_env(
-    module: SourceModule,
-    env: dict[str, EnvEntry],
-    solver: Optional[topes.Solver] = None,
-) -> dict[str, EnvEntry]:
-    """Extend ``env`` with this module's declarations without re-checking
-    bodies.  Used to replay a cache hit: the content hash guarantees the
-    module checked before."""
-    checker = Checker(dict(env), solver=solver or topes.Solver(), module=module)
-    for decl in module.declarations:
-        try:
-            entry = checker.check_declaration(decl, check_bodies=False)
-        except KernelError:
-            continue
-        checker.env[decl.name] = entry
-    return checker.env
+def dump_entries(entries: Iterable[EnvEntry]) -> list:
+    """The JSON form of environment entries, in order, for `build_env`."""
+    return [
+        [e.name, e.kind, e.module, encode_term(e.type),
+         None if e.value is None else encode_term(e.value)]
+        for e in entries
+    ]
+
+
+def build_env(data: list, env: dict[str, EnvEntry]) -> dict[str, EnvEntry]:
+    """``env`` extended with the entries of a module that checked, from
+    their JSON form (`dump_entries`).  Each entry's generated names become
+    fresh names of this process, through one map for its type and value,
+    so that none can meet a name this process generates.  Damaged data
+    raises an exception."""
+    env = dict(env)
+    for name, kind, module, ty, value in data:
+        if not (type(name) is type(kind) is type(module) is str):
+            raise ValueError(f"an entry named {name!r} is malformed")
+        renamed: dict[str, str] = {}
+        env[name] = EnvEntry(
+            name=name,
+            type=decode_term(ty, renamed),
+            value=None if value is None else decode_term(value, renamed),
+            kind=kind,
+            module=module,
+        )
+    return env
 
 
 def _cube_former(t: Term) -> bool:

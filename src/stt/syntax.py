@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass, field, fields
+from typing import Optional, Union, get_args
 
 
 # ---------------------------------------------------------------------------
@@ -502,22 +502,32 @@ _STEP = {
 # alpha equality
 
 
-def alpha_eq(a, b, env: Optional[dict[str, str]] = None) -> bool:
+def alpha_eq(a, b) -> bool:
     """Structural equality of terms/topes up to renaming of bound variables."""
-    env = env or {}
-    return _alpha(a, b, env, {v: k for k, v in env.items()})
+    return _alpha(a, b, {}, {})
+
+
+def _under(x, y, pieces_a, pieces_b, fwd: dict[str, str], bwd: dict[str, str]) -> bool:
+    """`_alpha` on pieces under binders ``x`` and ``y``: the two maps gain
+    ``x -> y`` for the walk and get their old values back after it."""
+    old_x, old_y = fwd.get(x), bwd.get(y)
+    fwd[x] = y
+    bwd[y] = x
+    equal = all(_alpha(pa, pb, fwd, bwd) for pa, pb in zip(pieces_a, pieces_b))
+    if old_x is None:
+        del fwd[x]
+    else:
+        fwd[x] = old_x
+    if old_y is None:
+        del bwd[y]
+    else:
+        bwd[y] = old_y
+    return equal
 
 
 def _alpha(a, b, fwd: dict[str, str], bwd: dict[str, str]) -> bool:
     if type(a) is not type(b):
         return False
-
-    def under(x, y, pieces_a, pieces_b):
-        fwd2 = dict(fwd)
-        bwd2 = dict(bwd)
-        fwd2[x] = y
-        bwd2[y] = x
-        return all(_alpha(pa, pb, fwd2, bwd2) for pa, pb in zip(pieces_a, pieces_b))
 
     match a, b:
         case Var(n1), Var(n2):
@@ -525,11 +535,11 @@ def _alpha(a, b, fwd: dict[str, str], bwd: dict[str, str]) -> bool:
         case Universe(l1), Universe(l2):
             return l1 == l2
         case Pi(x, d1, c1), Pi(y, d2, c2):
-            return _alpha(d1, d2, fwd, bwd) and under(x, y, [c1], [c2])
+            return _alpha(d1, d2, fwd, bwd) and _under(x, y, [c1], [c2], fwd, bwd)
         case Sigma(x, d1, c1), Sigma(y, d2, c2):
-            return _alpha(d1, d2, fwd, bwd) and under(x, y, [c1], [c2])
+            return _alpha(d1, d2, fwd, bwd) and _under(x, y, [c1], [c2], fwd, bwd)
         case Lam(x, b1), Lam(y, b2):
-            return under(x, y, [b1], [b2])
+            return _under(x, y, [b1], [b2], fwd, bwd)
         case App(f1, a1), App(f2, a2):
             return _alpha(f1, f2, fwd, bwd) and _alpha(a1, a2, fwd, bwd)
         case Pair(l1, r1), Pair(l2, r2):
@@ -553,9 +563,10 @@ def _alpha(a, b, fwd: dict[str, str], bwd: dict[str, str]) -> bool:
                 and _alpha(p1, p2, fwd, bwd)
             )
         case ShapeTy(x, s1, t1), ShapeTy(y, s2, t2):
-            return s1 == s2 and under(x, y, [t1], [t2])
+            return s1 == s2 and _under(x, y, [t1], [t2], fwd, bwd)
         case Extension(x, d1, p1, f1, a1), Extension(y, d2, p2, f2, a2):
-            return _alpha(d1, d2, fwd, bwd) and under(x, y, [p1, f1, a1], [p2, f2, a2])
+            return _alpha(d1, d2, fwd, bwd) and _under(
+                x, y, [p1, f1, a1], [p2, f2, a2], fwd, bwd)
         case RecOr(lt1, rt1, l1, r1), RecOr(lt2, rt2, l2, r2):
             return all(
                 _alpha(p, q, fwd, bwd)
@@ -579,3 +590,74 @@ def _alpha(a, b, fwd: dict[str, str], bwd: dict[str, str]) -> bool:
             return _alpha(l1, l2, fwd, bwd) and _alpha(r1, r2, fwd, bwd)
         case _:
             return False
+
+
+# ---------------------------------------------------------------------------
+# a flat JSON form
+
+
+def _layout(cls) -> tuple[type, tuple[str, ...], tuple[type, ...], tuple[str, ...]]:
+    """A node class, the names and types of its leading name and level
+    fields, and the names of its node fields, which follow them."""
+    names = [f.name for f in fields(cls)]
+    types = []
+    for f in fields(cls):
+        if f.type not in ("str", "int"):
+            break
+        types.append(str if f.type == "str" else int)
+    return cls, tuple(names[:len(types)]), tuple(types), tuple(names[len(types):])
+
+
+# every node class, by name: the only classes a stored form can make
+_LAYOUT = {
+    cls.__name__: _layout(cls)
+    for cls in get_args(Term) + get_args(Tope) + get_args(CubeSort)
+}
+
+
+def encode_term(t) -> list:
+    """A term, tope or cube sort as a flat list of rows, children before
+    parents: a node's row is its class name followed by its names and
+    levels, after the rows of its node fields.  Being flat, the form nests
+    no deeper in JSON than one row, however deep the term."""
+    rows = []
+    stack = [t]
+    # parents before children, the last child first; reversed at the end
+    while stack:
+        t = stack.pop()
+        name = type(t).__name__
+        _, atoms, _, children = _LAYOUT[name]
+        rows.append([name, *(getattr(t, a) for a in atoms)])
+        stack.extend(getattr(t, c) for c in children)
+    rows.reverse()
+    return rows
+
+
+def decode_term(rows: list, renamed: dict[str, str]):
+    """The node that `encode_term` wrote as ``rows``.  A generated name (one
+    with a ``$``) becomes a fresh name of this process, the same one for the
+    same name: ``renamed`` holds the names given so far, and callers share
+    it between the terms in which a name must stay the same.  A row whose
+    class, names or children do not fit raises an exception."""
+    stack: list = []
+    for row in rows:
+        cls, _, kinds, children = _LAYOUT[row[0]]
+        arity = len(children)
+        if len(row) != len(kinds) + 1 or len(stack) < arity:
+            raise ValueError(f"a malformed {cls.__name__} row")
+        args = []
+        for value, kind in zip(row[1:], kinds):
+            if type(value) is not kind:
+                raise ValueError(f"a {cls.__name__} row holds {value!r}")
+            if kind is str and "$" in value:
+                if value not in renamed:
+                    renamed[value] = fresh_name(value)
+                value = renamed[value]
+            args.append(value)
+        if arity:
+            args += stack[-arity:]
+            del stack[-arity:]
+        stack.append(cls(*args))
+    if len(stack) != 1:
+        raise ValueError("rows that make no single node")
+    return stack[0]

@@ -195,6 +195,19 @@ class TestRobustness:
         assert proc.stdout.strip() == "False"
 
 
+def test_the_package_version_has_one_source():
+    """pyproject.toml reads the version from `stt.__version__`, which the
+    cache keys hash, rather than repeating it."""
+    import tomllib
+
+    with open(os.path.join(REPO, "pyproject.toml"), "rb") as fh:
+        config = tomllib.load(fh)
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "stt.__version__"}
+
+
 class TestImports:
     def test_import_across_files(self, run_cli, tmp_path):
         write(tmp_path, "base.stt", "def X : U := {t : I | TOP};\n")
@@ -410,6 +423,100 @@ class TestCache:
             assert stored == ["m"]  # the second run under 0.1.0 hit
         assert run_cli(f, "--json", cache_dir=cache) == first
         assert stored == ["m", "m"]
+
+    def chain(self, tmp_path):
+        """base <- mid <- user, of which each test writes user; base's one
+        declaration holds a generated name (a pair pattern binds one)."""
+        write(tmp_path, "base.stt", "def D2 : U := {(t,s) : I * I | s <= t};\n")
+        write(tmp_path, "mid.stt", "import base;\ndef E : U := D2;\n")
+        return tmp_path / "user.stt", tmp_path / "cache"
+
+    @staticmethod
+    def env_files(cache) -> dict:
+        """The env entry of each module, by module name."""
+        return {json.loads(p.read_text())["entries"][0][2]: p
+                for p in cache.rglob("*.env.json")}
+
+    def test_an_edit_parses_only_the_edited_module(self, run_cli, tmp_path, monkeypatch):
+        import stt.parser
+
+        user, cache = self.chain(tmp_path)
+        user.write_text("import mid;\ndef g (x : E) : E := x;\n")
+        run_cli(str(user), cache_dir=cache)
+        assert sorted(self.env_files(cache)) == ["base", "mid", "user"]
+        parsed = []
+        parse_module = stt.parser.parse_module
+
+        def recording_parse(source, path="<input>", name=None):
+            parsed.append(name)
+            return parse_module(source, path, name=name)
+
+        monkeypatch.setattr(stt.parser, "parse_module", recording_parse)
+        user.write_text(user.read_text() + "def h (x : E) : E := g x;\n")
+        cached = run_cli(str(user), "--json", cache_dir=cache)
+        assert parsed == ["user"]
+        assert cached == run_cli(str(user), "--json")
+        assert [json.loads(line)["stats"]["declarations_checked"]
+                for line in cached[1].splitlines()] == [1, 1, 2]
+
+    @pytest.mark.parametrize("damage", ["deleted", "entries", "class"])
+    def test_a_missing_or_damaged_env_entry_is_a_corrupt_miss(
+            self, run_cli, tmp_path, damage):
+        user, cache = self.chain(tmp_path)
+        user.write_text("import mid;\ndef g (x : E) : E := x;\n")
+        run_cli(str(user), cache_dir=cache)
+        mid = self.env_files(cache)["mid"]
+        if damage == "deleted":
+            mid.unlink()
+        elif damage == "entries":
+            mid.write_text(json.dumps({"entries": 5}))
+        else:
+            mid.write_text(mid.read_text().replace('["Var", "D2"]', '["NoSuchNode"]'))
+        user.write_text(user.read_text() + "-- an edit\n")
+        code, out, err = run_cli(str(user), "--json", cache_dir=cache)
+        assert (code, out) == run_cli(str(user), "--json")[:2]
+        assert err == "warning: corrupt cache entry for mid; rechecking\n"
+        # checking mid again stored its entries again
+        user.write_text(user.read_text() + "-- a second edit\n")
+        assert run_cli(str(user), "--json", cache_dir=cache) == (code, out, "")
+
+    def test_loaded_entries_carry_no_stored_generated_name(self, run_cli, tmp_path):
+        from stt.kernel import build_env
+        from stt.syntax import encode_term, fresh_name
+
+        user, cache = self.chain(tmp_path)
+        user.write_text("import base;\ndef F : U := D2;\n")
+        run_cli(str(user), cache_dir=cache)
+        data = json.loads(self.env_files(cache)["base"].read_text())["entries"]
+        stored = {v for entry in data for rows in entry[3:] if rows
+                  for row in rows for v in row[1:] if "$" in str(v)}
+        assert stored  # the pair pattern's binder
+
+        def names(t):
+            return {v for row in encode_term(t) for v in row[1:] if type(v) is str}
+
+        loaded = set()
+        for e in build_env(data, {}).values():
+            loaded |= names(e.type) | (names(e.value) if e.value else set())
+        assert {n for n in loaded if "$" in n} and not (loaded & stored)
+        assert fresh_name("p") not in loaded
+
+    def test_warm_and_uncached_runs_open_no_env_entry(self, run_cli, tmp_path, monkeypatch):
+        from stt.cache import Cache
+
+        user, cache = self.chain(tmp_path)
+        user.write_text("import mid;\ndef F : U := E;\n")
+        first = run_cli(str(user), "--json", cache_dir=cache)
+        opened = []
+        read, write_ = Cache._read, Cache._write
+        monkeypatch.setattr(Cache, "_read", lambda self, p: opened.append(p) or read(self, p))
+        monkeypatch.setattr(
+            Cache, "_write", lambda self, p, d: opened.append(p) or write_(self, p, d))
+        assert run_cli(str(user), "--json", cache_dir=cache) == first
+        assert opened and not [p for p in opened if p.endswith(".env.json")]
+        opened.clear()
+        assert run_cli(str(user), "--json") == first
+        assert opened == []
 
     def test_no_cache_bypasses(self, run_cli, tmp_path):
         f = write(tmp_path, "m.stt", "def a : U := {t : I | TOP};\n")

@@ -4,26 +4,32 @@ import collections
 import dataclasses
 import os
 import random
+import subprocess
+import sys
 import typing
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import CORPUS, REPO
 from genterms import NAMES, random_term
 from kernel_oracle import (
     InnermostChecker, check_boundary, debruijn, is_node, reference_subst,
     rename_binders,
 )
 from stt import syntax
-from stt.kernel import Checker, Ctx, KernelError, _split_tope, check_module
+from stt.kernel import (
+    Checker, Ctx, EnvEntry, KernelError, _split_tope, build_env, check_module,
+    dump_entries,
+)
 from stt.parser import parse_module, parse_term
 from stt.syntax import (
     App, Cube0, Cube1, Interval, Lam, Pair, TOP, TopeAnd, TopeEq, TopeLeq,
-    TopeOr, UnitCube, Var, alpha_eq, fresh_name, free_vars, subst, subst_many,
+    TopeOr, UnitCube, Var, alpha_eq, decode_term, encode_term, fresh_name,
+    free_vars, subst, subst_many,
 )
 from stt.topes import Solver
 
-CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "corpus")
 
 HEADER = r"""
 def Delta1 : U := {t : I | TOP};
@@ -218,6 +224,77 @@ class TestNodeClasses:
             assert debruijn(out) == debruijn(reference_subst(t, "y", Var(value)))
 
 
+def _names_in(t) -> set[str]:
+    """Every binder and variable name in a term, bound or free."""
+    return {v for row in encode_term(t) for v in row[1:] if type(v) is str}
+
+
+class TestStoredForm:
+    """`encode_term` and `decode_term`: the flat JSON form of the terms in
+    a cache's env entries."""
+
+    @pytest.mark.parametrize("cls", _node_classes(), ids=lambda c: c.__name__)
+    def test_every_node_class_round_trips(self, cls):
+        for t in [_instance(cls)] + [
+                _instance(cls, other_literal=f.name) for f in dataclasses.fields(cls)]:
+            out = decode_term(encode_term(t), {})
+            assert type(out) is cls
+            assert debruijn(out) == debruijn(t)
+            assert _names_in(out) == _names_in(t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 5))
+    def test_generated_names_become_fresh_ones(self, seed, depth):
+        a = rename_binders(random_term(random.Random(seed), depth))
+        stored = {n for n in _names_in(a) if "$" in n}
+        renamed: dict[str, str] = {}
+        b = decode_term(encode_term(a), renamed)
+        assert alpha_eq(a, b) and debruijn(a) == debruijn(b)
+        assert set(renamed) == stored
+        assert len(set(renamed.values())) == len(renamed)  # one to one
+        assert not (_names_in(b) & stored)
+        assert fresh_name("x") not in _names_in(b)
+
+    def test_a_deep_term_stays_one_row_deep(self):
+        t = Var("A")
+        for _ in range(30_000):
+            t = App(Var("f"), t)
+        rows = encode_term(t)
+        assert not any(isinstance(v, list) for row in rows for v in row)
+        assert encode_term(decode_term(rows, {})) == rows
+
+    @pytest.mark.parametrize("rows", [
+        [["NoSuchNode"]],
+        [["Var"]],
+        [["Var", 5]],
+        [["Universe", "0"]],
+        [["Var", "x"], ["App"]],
+        [["Var", "x"], ["Var", "y"]],
+        [],
+        5,
+        [5],
+    ], ids=repr)
+    def test_a_damaged_form_raises(self, rows):
+        with pytest.raises(Exception):
+            decode_term(rows, {})
+
+    def test_entries_round_trip_with_one_map_each(self):
+        x = fresh_name("x")
+        shared = Lam(x, Var(x))
+        entries = [
+            EnvEntry("f", shared, shared, "definition", "m"),
+            EnvEntry("g", shared, None, "postulate", "m"),
+        ]
+        env = build_env(dump_entries(entries), {"h": entries[0]})
+        assert list(env) == ["h", "f", "g"]
+        f, g = env["f"], env["g"]
+        assert (f.kind, f.module, g.value) == ("definition", "m", None)
+        # within an entry a name keeps one fresh name; entries do not share
+        assert f.type.binder == f.value.binder != g.type.binder
+        assert x not in {f.type.binder, g.type.binder}
+        assert alpha_eq(f.type, shared) and alpha_eq(g.type, shared)
+
+
 class TestWhnf:
     def test_beta(self):
         ck = make_checker()
@@ -311,6 +388,15 @@ class TestWhnf:
             assert left.def_equal(Ctx(), None, a, bb), src
 
 
+def _telescope(ctx):
+    """A context's entries, outermost first."""
+    entries = []
+    while ctx.parent is not None:
+        entries.append(ctx.entry)
+        ctx = ctx.parent
+    return tuple(reversed(entries))
+
+
 def _reference_facts(entries):
     """The cube context, hypotheses and split of a telescope, computed from
     its entries alone."""
@@ -363,7 +449,7 @@ class TestCtx:
         ctx = Ctx()
         for step in steps:
             parent, ctx = ctx, step(ctx)
-            cubes, hyps, split = _reference_facts(ctx.entries)
+            cubes, hyps, split = _reference_facts(_telescope(ctx))
             # asked twice: computed once, then read back
             for _ in range(2):
                 assert ctx.cube_context() == cubes
@@ -371,13 +457,60 @@ class TestCtx:
                 got = ctx.split()
                 assert (got is None) == (split is None)
                 if split is not None:
-                    assert all(_same_entries(c.entries, e) for c, e in zip(got, split))
+                    assert all(_same_entries(_telescope(c), e) for c, e in zip(got, split))
                     for c in got:
                         assert c.cube_context() == cubes
-                        assert alpha_eq(c.hyps(), _reference_facts(c.entries)[1])
-            if ctx.entries[-1][0] != "cube":
+                        assert alpha_eq(c.hyps(), _reference_facts(_telescope(c))[1])
+            if ctx.entry[0] != "cube":
                 # the solver recognises a cube context by identity
                 assert ctx.cube_context() is parent.cube_context()
+
+
+    def test_lookups_follow_each_telescope_in_any_order(self):
+        """Contexts of one family share a rerooted index: asked in a random
+        order, each still sees exactly its own telescope."""
+        rng = random.Random(5)
+        ctxs = [Ctx()]
+        for i in range(3000):
+            parent, name, kind = rng.choice(ctxs), rng.choice("xyzw"), rng.random()
+            if kind < 0.6:
+                ctxs.append(parent.bind_var(name, Var(f"T{i}")))
+            elif kind < 0.8:
+                ctxs.append(parent.bind_cube(name, Interval()))
+            else:
+                ctxs.append(parent.constrain(TopeEq(Var(name), Cube0())))
+            probe = rng.choice(ctxs)
+            expected = {e[1]: e for e in _telescope(probe) if e[0] != "tope"}
+            assert all(probe.lookup(n) is expected.get(n) for n in "xyzwv")
+            assert set(probe.names()) == set(expected)
+
+    def test_checking_is_linear_in_binder_depth(self):
+        """A context extends its parent's name index rather than rebuilding
+        it: n chained arrows check in time about linear in n (a quadratic
+        cost would make the ratio 16).  Timed in a fresh interpreter, whose
+        garbage collector does not walk the objects of earlier tests, and
+        each run starts from a full collection."""
+        script = (
+            "import gc, time\n"
+            "from stt.kernel import check_module\n"
+            "from stt.parser import parse_module\n"
+            "def seconds(n):\n"
+            "    mod, _ = parse_module(\n"
+            "        'def x : U1 := ' + ' -> '.join(['U'] * n) + ';', 'deep.stt')\n"
+            "    best = float('inf')\n"
+            "    for _ in range(7):\n"
+            "        gc.collect()\n"
+            "        start = time.perf_counter()\n"
+            "        report, _ = check_module(mod, {})\n"
+            "        best = min(best, time.perf_counter() - start)\n"
+            "    assert report.status == 'ok'\n"
+            "    return best\n"
+            "print(seconds(10_000) / seconds(2_500))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.join(REPO, "src")))
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 6
 
 
 class TestDefEqual:
