@@ -1,6 +1,7 @@
-"""Content-hash build cache for check results, with early cutoff.
+"""Content-hash build cache for check results, with early cutoff per module
+and per declaration.
 
-A module has three hashes:
+A module has three hashes, and each of its declarations a fourth:
 
 * Its **source key** covers the tool version, the solver capacity, the
   module's name, its absolute path and its source bytes.  Under it a
@@ -10,31 +11,46 @@ A module has three hashes:
 * Its **report key** (``module_key``) is the source key plus the interface
   hash of each import, in the order the module lists its imports.  Under it
   the *report* entry holds the module's report and, when the report is
-  ``ok``, the module's interface hash.  An ``ok`` report also has an *env*
-  entry under the same key, written just before it: the module's own
-  environment entries (name, kind, module, type and value), with each term
-  in the flat JSON form of ``syntax.encode_term``.  A later run that checks
-  a module importing this one loads them instead of parsing this module.
-  Since the key covers the source and everything the module imports, the
-  stored entries are the ones checking the module again would make, up to
-  the generated names, which loading renames.
+  ``ok``, the module's interface hash and its *exports*: the name and
+  declaration key of each of its own declarations that checked, in order.
+* A **declaration key** (``declaration_key``) covers the version, the
+  capacity, the module's name, path and ``--@tier``, the clash digest of
+  its imports (below), the declaration's source text and, for each
+  identifier in that text, the hash of the environment entry the name
+  resolves to where the declaration stands, or a marker for none.  An
+  entry's hash is the key of the declaration that made it, so the key
+  covers everything unfolding the declaration's names can reach.  When
+  two imports bring different entries under one name, the later one wins,
+  and an entry that named the loser now unfolds to the winner; the *clash
+  digest* of a module's imports, which covers each such winner and the
+  imports' own digests, is in the key for that reason.  It is empty when
+  there is no clash.
 * Its **interface hash**, once it checks, covers what a dependent can
   observe of it: the interface hashes of its imports, in import order
   (which decides the winner of a name clash when their environments are
-  merged), then its own declarations in order: name, kind, module, printed
-  type and printed value.  Chaining the imports' hashes makes it cover the
-  whole environment a dependent sees.  Printing renames generated names, so
-  the hash does not depend on the fresh-name counter.
+  merged), then its own declaration keys in order.
+
+A module's *record table* is stored under a key of its identity (version,
+capacity, name and path), and each check that misses a declaration
+overwrites it, so one table per module is kept.  It holds a record per
+declaration key: the declaration's diagnostics with spans relative to its
+start, its solver-query count and, if it checked, its environment entry
+(name, kind, module, type and value, each term in the flat JSON form of
+``syntax.encode_term``).  A module whose report key misses replays the
+record of each declaration whose key is in the table, rebased to where the
+declaration now stands, and checks only the others.  Since the table is
+written before the report, an ``ok`` report's exports are in it unless a
+later check of another version of the module overwrote them.
 
 A change that leaves a module's interface as it was (a comment, say) thus
-rechecks that module only: its dependents' report keys stay the same.  Two
-modules with the same bytes never share an entry, since the module name and
-the diagnostic spans of a report name the file.  A malformed entry is a
-miss and sets ``corrupt`` for the caller to report; so does an env entry
-that is missing beside its ``ok`` report.  The terms of an env entry are
-decoded by the kernel, through a fixed table of node classes, so reading
-the cache runs no code it holds and this module loads neither the parser
-nor the kernel.
+rechecks that module only, by replay: its dependents' report keys stay the
+same.  Two modules with the same bytes never share an entry, since the
+module name and the diagnostic spans of a report name the file.  A
+malformed entry is a miss and sets ``corrupt`` for the caller to report;
+so does a missing record table beside an ``ok`` report with exports.  The
+terms of a record are decoded by the kernel, through a fixed table of node
+classes, so reading the cache runs no code it holds and this module loads
+neither the parser nor the kernel.
 """
 
 from __future__ import annotations
@@ -42,54 +58,112 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 from . import __version__
 from .diagnostics import CheckReport, Diagnostic
 
 
-def source_key(name: str, path: str, source: bytes, capacity: int) -> str:
+def _digest(*parts: str) -> str:
+    """One hash of ``parts``, each length-prefixed so that no two lists of
+    parts are hashed alike."""
     h = hashlib.sha256()
-    h.update(f"stt:{__version__}:capacity={capacity}".encode())
-    h.update(b"\x00module\x00")
-    h.update(name.encode())
-    h.update(b"\x00path\x00")
-    h.update(os.path.abspath(path).encode())
-    h.update(b"\x00source\x00")
-    h.update(source)
+    for p in parts:
+        b = p.encode()
+        h.update(b"%d:" % len(b))
+        h.update(b)
     return h.hexdigest()
+
+
+def _identity(name: str, path: str, capacity: int) -> tuple[str, ...]:
+    return (__version__, str(capacity), name, os.path.abspath(path))
+
+
+def source_key(name: str, path: str, source: str, capacity: int) -> str:
+    return _digest("source", *_identity(name, path, capacity), source)
 
 
 def module_key(skey: str, import_interfaces: list[str]) -> str:
     """The report key: the source key ``skey`` and the imports' interface
     hashes."""
-    h = hashlib.sha256(b"report\x00" + skey.encode())
-    for i in import_interfaces:
-        h.update(b"\x00import\x00")
-        h.update(i.encode())
-    return h.hexdigest()
+    return _digest("report", skey, *import_interfaces)
 
 
-def interface_hash(import_interfaces: list[str], entries: Iterable) -> str:
+def interface_hash(import_interfaces: list[str], own_keys: list[str]) -> str:
     """The interface hash of a module that checked, from its imports'
-    interface hashes and its own environment entries in declaration order."""
-    from .printer import print_term  # only a module just checked is hashed
+    interface hashes and the keys of its own declarations that checked, in
+    order."""
+    return _digest("interface", str(len(import_interfaces)),
+                   *import_interfaces, *own_keys)
 
-    h = hashlib.sha256(b"interface")
-    for i in import_interfaces:
-        h.update(b"\x00import\x00")
-        h.update(i.encode())
-    for e in entries:
-        value = "" if e.value is None else print_term(e.value)
-        for part in (e.name, e.kind, e.module, print_term(e.type), value):
-            h.update(b"\x00")
-            h.update(part.encode())
-    return h.hexdigest()
+
+def declaration_scope(name: str, path: str, capacity: int,
+                      tier: Optional[str], clashes: str) -> str:
+    """What every declaration key of a module covers besides the
+    declaration: the module's identity, its tier and its clash digest."""
+    return _digest("scope", *_identity(name, path, capacity), tier or "",
+                   clashes)
+
+
+def declaration_key(scope: str, text: str,
+                    mentions: list[Optional[str]]) -> str:
+    """The key of a declaration of source ``text`` in a module of
+    ``declaration_scope`` ``scope``; ``mentions`` are the hashes of the
+    entries its identifiers resolve to, None for a name with no entry."""
+    return _digest("declaration", scope, text,
+                   *(m or "-" for m in mentions))
+
+
+def merge_scopes(scopes: list[tuple[dict[str, str], str]]
+                 ) -> tuple[dict[str, str], str]:
+    """Merge the environments of a module's imports, in import order, each
+    given as the hash of the entry of each of its names and its clash
+    digest.  Returns the same for the merged environment, in which the later
+    of two entries under one name wins.  Its clash digest covers the
+    imports' digests and the hash of each entry that won a clash; it is
+    empty if these are."""
+    merged: dict[str, str] = {}
+    digests, winners = [], []
+    for names, digest in scopes:
+        digests.append(digest)
+        winners += [names[n] for n in sorted(names.keys() & merged.keys())
+                    if names[n] != merged[n]]
+        merged.update(names)
+    if not any(digests) and not winners:
+        return merged, ""
+    return merged, _digest("clashes", *digests, "", *winners)
+
+
+def make_record(start: int, queries: int, diagnostics: list[Diagnostic],
+                entry: Optional[list]) -> dict:
+    """The record of a declaration that starts at offset ``start``: its
+    solver-query count, its diagnostics with spans made relative to
+    ``start``, and its entry in the form of ``kernel.dump_entries``, or None
+    if it did not check."""
+    return {"queries": queries, "entry": entry, "diagnostics": [
+        [d.severity, d.code, d.message, d.span[0] - start, d.span[1] - start]
+        for d in diagnostics]}
+
+
+def replay(record: dict, start: int, path: str) -> list[Diagnostic]:
+    """The diagnostics of a record, rebased to a declaration of ``path``
+    that now starts at offset ``start``."""
+    return [Diagnostic(severity, code, message, path, (start + lo, start + hi))
+            for severity, code, message, lo, hi in record["diagnostics"]]
+
+
+def _is_record(r: dict) -> bool:
+    entry = r["entry"]
+    return (type(r["queries"]) is int
+            and all(type(s) is type(c) is type(m) is str
+                    and type(a) is type(b) is int
+                    for s, c, m, a, b in r["diagnostics"])
+            and (entry is None or len(entry) == 5))
 
 
 class Cache:
-    """Header, report and env entries under ``root``, for one solver capacity.
-    ``hits`` and ``misses`` count report lookups."""
+    """Header, report and record-table entries under ``root``, for one
+    solver capacity.  ``hits`` and ``misses`` count report lookups."""
 
     def __init__(self, root: str, capacity: int):
         self.root = root
@@ -138,9 +212,10 @@ class Cache:
     def store_imports(self, key: str, imports: list[str]) -> None:
         self._write(self._path(key, ".imports.json"), {"imports": imports})
 
-    def load(self, key: str) -> Optional[tuple[CheckReport, Optional[str]]]:
+    def load(self, key: str
+             ) -> Optional[tuple[CheckReport, Optional[str], Optional[list]]]:
         """The report under a report key and, if it is ``ok``, the module's
-        interface hash; None on a miss."""
+        interface hash and exports; None on a miss."""
         try:
             data = self._read(self._path(key, ".json"))
             if data is None:
@@ -160,35 +235,47 @@ class Cache:
                     file=d["span"]["file"],
                     span=(d["span"]["start"], d["span"]["end"]),
                 ))
-            interface = data.get("interface") if report.ok else None
-            if report.ok and not isinstance(interface, str):
-                raise ValueError("an ok report without an interface hash")
+            interface = exports = None
+            if report.ok:
+                interface, exports = data["interface"], data["exports"]
+                if not (isinstance(interface, str) and isinstance(exports, list)
+                        and all(type(n) is type(k) is str for n, k in exports)):
+                    raise ValueError("an ok report without its interface")
             self.hits += 1
-            return report, interface
+            return report, interface, exports
         except Exception:  # any damaged entry is a miss
             self.misses += 1
             self.corrupt = True
             return None
 
-    def load_env(self, key: str, build: Callable[[list], dict]) -> Optional[dict]:
-        """What ``build`` makes of the environment entries stored under a
-        report key; None, and ``corrupt`` set, if they are missing (an ``ok``
-        report's entries are stored before it) or ``build`` raises."""
-        try:
-            data = self._read(self._path(key, ".env.json"))
-            if data is None:
-                raise ValueError("an ok report without its entries")
-            return build(data["entries"])
-        except Exception:  # any damaged entry is a miss
-            self.corrupt = True
-            return None
-
-    def store_env(self, key: str, entries: list) -> None:
-        self._write(self._path(key, ".env.json"), {"entries": entries})
-
-    def store(self, key: str, report: CheckReport,
-              interface: Optional[str]) -> None:
+    def store(self, key: str, report: CheckReport, interface: Optional[str],
+              exports: Optional[list]) -> None:
         data = report.to_json()
         if interface is not None:
             data["interface"] = interface
+            data["exports"] = exports
         self._write(self._path(key, ".json"), data)
+
+    def _table(self, name: str, path: str) -> str:
+        return self._path(
+            _digest("records", *_identity(name, path, self.capacity)),
+            ".records.json")
+
+    def load_records(self, name: str, path: str) -> Optional[dict]:
+        """The record table of a module: records made by `make_record`, by
+        declaration key.  None if there is no table; empty, and ``corrupt``
+        set, if it is damaged."""
+        try:
+            data = self._read(self._table(name, path))
+            if data is None:
+                return None
+            records = data["records"]
+            if not all(_is_record(r) for r in records.values()):
+                raise ValueError("a malformed record")
+            return records
+        except Exception:  # any damaged entry is a miss
+            self.corrupt = True
+            return {}
+
+    def store_records(self, name: str, path: str, records: dict) -> None:
+        self._write(self._table(name, path), {"records": records})

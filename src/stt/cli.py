@@ -1,22 +1,24 @@
 """Command-line driver: resolve imports, check modules, report diagnostics.
 
 Exit codes: 0 all modules check, 1 check errors, 2 usage/IO/resolution
-errors.  With ``--json`` one JSON object per module is emitted, ordered by
-module name; human output is likewise flushed in module-name order so runs
-are byte-stable.
+errors, 3 an internal error of the checker.  With ``--json`` one JSON
+object per module is emitted, ordered by module name; human output is
+likewise flushed in module-name order so runs are byte-stable.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .cache import Cache, interface_hash, module_key, source_key
+from .cache import (
+    Cache, declaration_key, declaration_scope, interface_hash, make_record,
+    merge_scopes, module_key, replay, source_key,
+)
 from .diagnostics import CheckReport, Diagnostic, render
 
 if TYPE_CHECKING:
@@ -119,8 +121,7 @@ def resolve(
         resolved = ResolvedModule(name=name, path=path, source=source)
         header = None
         if cache is not None:
-            resolved.key = source_key(
-                name, path, source.encode(), cache.capacity)
+            resolved.key = source_key(name, path, source, cache.capacity)
             header = cache.load_imports(resolved.key)
             _warn_if_corrupt(cache, name, "reparsing")
         if header is not None:
@@ -168,62 +169,167 @@ def check_modules(
 
     A module with a failed import is not checked.  With a cache, a module
     whose report key hits is neither parsed nor checked: its report is
-    reused.  A module that checks ``ok`` also stores its own environment
-    entries under its report key, before its report.  A module checked
-    later that imports one read from the cache loads that module's entries
-    from there (`kernel.build_env`), without parsing it; entries that are
-    missing or damaged are a corrupt entry, and that module is checked
-    again, which stores them again.  The solver, with ``trace`` as its
-    query log, is made for the first module checked.
+    reused.  Any other module is parsed and its declarations taken in order.
+    With a cache, a declaration whose key is in the module's record table is
+    not checked: its record is replayed, rebased to where the declaration
+    stands.  Every other declaration, and without a cache every declaration,
+    is checked by `kernel.check_module`.  The kernel, the solver (with
+    ``trace`` as its query log) and the decoded environments of the imports
+    are loaded at the first declaration checked.  An import whose report
+    came from the cache has its entries decoded from its record table
+    (`kernel.build_env`): a table that is missing or damaged is a corrupt
+    entry, and a table that a check of another version of the import
+    overwrote is a plain miss; either way that import is checked again,
+    which stores its table again.
     """
     reports: dict[str, CheckReport] = {}
     interfaces: dict[str, Optional[str]] = {}
     keys: dict[str, str] = {}
+    # with a cache, the own (name, declaration key) pairs of each ok module,
+    # and the entry hash of each name of its environment with its imports'
+    # clash digest
+    exports: dict[str, Optional[list]] = {}
+    scopes: dict[str, tuple[dict[str, str], str]] = {}
+    # the decoded environment of a module; or, not yet decoded, its
+    # environment up to its last declaration checked (None: its imports') and
+    # its own entries after that
     envs: dict[str, dict] = {}
+    undecoded: dict[str, tuple[Optional[dict], list]] = {}
     solver = None
+
+    def imports_scope(resolved: ResolvedModule) -> tuple[dict[str, str], str]:
+        return merge_scopes([scope(imp) for imp in resolved.imports])
+
+    def scope(name: str) -> tuple[dict[str, str], str]:
+        if name not in scopes:
+            names, digest = imports_scope(modules[name])
+            names.update(exports[name])
+            scopes[name] = names, digest
+        return scopes[name]
 
     def imported_env(resolved: ResolvedModule) -> dict:
         env: dict = {}
         for imp in resolved.imports:
-            if imp not in envs:  # imp's report came from the cache
-                envs[imp] = load_env(modules[imp])
-            env.update(envs[imp])
+            env.update(module_env(modules[imp]))
         return env
 
-    def load_env(resolved: ResolvedModule) -> dict:
+    def module_env(resolved: ResolvedModule) -> dict:
+        name = resolved.name
+        while name not in envs:
+            if name not in undecoded:  # its report came from the cache
+                load_entries(resolved)
+                continue
+            env, entries = undecoded.pop(name)
+            env = decode(resolved, entries,
+                         imported_env(resolved) if env is None else env)
+            if env is None:
+                check(resolved, {})
+            else:
+                envs[name] = env
+        return envs[name]
+
+    def load_entries(resolved: ResolvedModule) -> None:
+        """Read the entries of a module whose report came from the cache
+        from its record table, or check the module again if the table has
+        lost them."""
+        wanted = [key for _, key in exports[resolved.name]]
+        records = {}
+        if wanted:
+            records = cache.load_records(resolved.name, resolved.path)
+            if records is None:  # an ok report's table is stored before it
+                cache.corrupt, records = True, {}
+            _warn_if_corrupt(cache, resolved.name, "rechecking")
+        if all(key in records for key in wanted):
+            undecoded[resolved.name] = (
+                None, [records[key]["entry"] for key in wanted])
+        else:
+            check(resolved, records)
+
+    def decode(resolved: ResolvedModule, entries: list, env: dict) -> Optional[dict]:
         from .kernel import build_env
 
-        env = imported_env(resolved)
-        loaded = cache.load_env(
-            keys[resolved.name], lambda entries: build_env(entries, env))
-        _warn_if_corrupt(cache, resolved.name, "rechecking")
-        if loaded is None:
-            check(resolved)
-            loaded = envs[resolved.name]
-        return loaded
+        try:
+            return build_env(entries, env)
+        except Exception:  # a damaged record
+            cache.corrupt = True
+            _warn_if_corrupt(cache, resolved.name, "rechecking")
+            return None
 
-    def check(resolved: ResolvedModule) -> CheckReport:
+    def check(resolved: ResolvedModule, records: Optional[dict] = None) -> CheckReport:
+        """Check a module, replaying what ``records`` (by default its record
+        table) holds of it."""
         nonlocal solver
-        from .kernel import check_module, dump_entries
-
-        if solver is None:
-            from .topes import Solver
-
-            solver = Solver(capacity=capacity, trace=trace)
-        name = resolved.name
-        module = resolved.parse()
-        env = imported_env(resolved)
-        report, envs[name] = check_module(
-            module, env, solver, parse_diagnostics=resolved.parse_diagnostics)
+        name, module = resolved.name, resolved.parse()
+        report = CheckReport(module=name, status="ok")
+        report.diagnostics.extend(resolved.parse_diagnostics)
         if cache is not None:
-            # check_module extends env with the module's own entries, in order
-            own = list(itertools.islice(envs[name].values(), len(env), None))
-            interfaces[name] = None
+            names, clashes = imports_scope(resolved)
+            within = declaration_scope(
+                name, resolved.path, capacity, module.tier, clashes)
+            if records is None:
+                records = cache.load_records(name, resolved.path) or {}
+                _warn_if_corrupt(cache, name, "rechecking")
+        table: dict[str, dict] = {}  # the records of this version
+        own: list[tuple[str, str]] = []
+        env = None
+        replayed: list = []  # entries not yet in env
+        for decl in module.declarations:
+            start = decl.span[0]
+            key = record = None
+            if cache is not None:
+                key = declaration_key(
+                    within, module.source[start:decl.span[1]],
+                    [names.get(n) for n in decl.idents])
+                record = records.get(key)
+            if record is None:
+                from .kernel import check_module, dump_entries
+
+                if solver is None:
+                    from .topes import Solver
+
+                    solver = Solver(capacity=capacity, trace=trace)
+                if env is None:
+                    env = imported_env(resolved)
+                if replayed:
+                    env = decode(resolved, replayed, env)
+                    if env is None:
+                        return check(resolved, {})
+                    replayed = []
+                part, env = check_module(module, env, solver, [decl])
+                diagnostics = part.diagnostics
+                queries = part.solver_queries
+                entry = env[decl.name] if part.declarations_checked else None
+                if key is not None:
+                    table[key] = make_record(
+                        start, queries, diagnostics,
+                        entry and dump_entries([entry])[0])
+            else:
+                table[key] = record
+                diagnostics = replay(record, start, resolved.path)
+                queries, entry = record["queries"], record["entry"]
+                if entry is not None:
+                    replayed.append(entry)
+            report.diagnostics.extend(diagnostics)
+            report.solver_queries += queries
+            if entry is not None:
+                report.declarations_checked += 1
+                if key is not None:
+                    names[decl.name] = key
+                    own.append((decl.name, key))
+        if any(d.severity == "error" for d in report.diagnostics):
+            report.status = "failed"
+        undecoded[name] = env, replayed
+        if cache is not None:
+            interfaces[name] = exports[name] = None
             if report.ok:
+                exports[name] = own
                 interfaces[name] = interface_hash(
-                    [interfaces[imp] for imp in resolved.imports], own)
-                cache.store_env(keys[name], dump_entries(own))
-            cache.store(keys[name], report, interfaces[name])
+                    [interfaces[imp] for imp in resolved.imports],
+                    [key for _, key in own])
+                scopes[name] = names, clashes
+            if table.keys() - records.keys():
+                cache.store_records(name, resolved.path, table)
+            cache.store(keys[name], report, interfaces[name], exports[name])
         return report
 
     for name, resolved in modules.items():
@@ -243,7 +349,7 @@ def check_modules(
             hit = cache.load(keys[name])
             _warn_if_corrupt(cache, name, "rechecking")
             if hit is not None:
-                reports[name], interfaces[name] = hit
+                reports[name], interfaces[name], exports[name] = hit
                 continue
         reports[name] = check(resolved)
     return reports
@@ -334,6 +440,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         # interpreter's own flush at exit does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
+    except Exception as e:  # a fault of the checker, whatever the input
+        print(f"error[INTERNAL]: {e!r}", file=sys.stderr)
+        return 3
     return code
 
 

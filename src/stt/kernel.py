@@ -231,14 +231,18 @@ class Checker:
         self.module = module
         self.queries = 0
         self._span_stack: list[tuple[int, int]] = []
+        self._bounds = (0, 0)  # the span of the declaration being checked
         allow_deep_recursion()
 
     # -- spans ----------------------------------------------------------------
 
     def _push_span(self, node) -> bool:
+        """Push the span of a node of the declaration being checked.  A node
+        of an earlier declaration, reached by unfolding it, has none, so a
+        declaration's diagnostics point into its own text only."""
         if self.module is not None:
             sp = self.module.span_of(node)
-            if sp is not None:
+            if sp is not None and self._bounds[0] <= sp[0] and sp[1] <= self._bounds[1]:
                 self._span_stack.append(sp)
                 return True
         return False
@@ -916,6 +920,7 @@ class Checker:
     # -- declarations ----------------------------------------------------------------
 
     def check_declaration(self, decl: Declaration) -> EnvEntry:
+        self._bounds = decl.span
         if decl.name in self.env:
             raise KernelError(
                 "IMPORT",
@@ -1000,23 +1005,26 @@ def check_module(
     module: SourceModule,
     env: dict[str, EnvEntry],
     solver: Optional[topes.Solver] = None,
-    parse_diagnostics: Optional[list[Diagnostic]] = None,
+    declarations: Optional[list[Declaration]] = None,
 ) -> tuple[CheckReport, dict[str, EnvEntry]]:
-    """Fold declaration checking over a module.
+    """Fold declaration checking over ``declarations``, by default all of
+    the module's.
 
-    ``env`` is the merged environment of checked imports; the returned dict
-    extends it with this module's declarations.  Deterministic given the
-    module and environment.  In a module whose ``--@tier`` is ``T1`` or
-    ``P``, a postulate outside ``ALLOWED_POSTULATES`` is a ``TIER`` error.
+    ``env`` is the environment the first declaration sees; the returned dict
+    extends it with the declarations that checked.  Deterministic given the
+    declarations and environment; each declaration's diagnostics point into
+    its own text.  In a module whose ``--@tier`` is ``T1`` or ``P``, a
+    postulate outside ``ALLOWED_POSTULATES`` is a ``TIER`` error.  A
+    declaration too deeply nested for the interpreter's recursion limit is a
+    ``CHECK`` error at its keyword, and the declarations after it are still
+    checked.
     """
     solver = solver if solver is not None else topes.Solver()
     start = time.perf_counter()
     checker = Checker(dict(env), solver=solver, module=module)
     report = CheckReport(module=module.name, status="ok")
-    if parse_diagnostics:
-        report.diagnostics.extend(parse_diagnostics)
-    tier = (module.directives.get("tier") or [None])[0]
-    for decl in module.declarations:
+    tier = module.tier
+    for decl in module.declarations if declarations is None else declarations:
         if (
             tier in ("T1", "P")
             and decl.kind == "postulate"
@@ -1035,6 +1043,12 @@ def check_module(
             report.diagnostics.append(Diagnostic(
                 "error", e.code, f"in {decl.name!r}: {e.message}",
                 module.path, span))
+            continue
+        except RecursionError:
+            keyword = "def" if decl.kind == "definition" else "postulate"
+            report.diagnostics.append(Diagnostic(
+                "error", "CHECK", f"in {decl.name!r}: nesting too deep to check",
+                module.path, (decl.span[0], decl.span[0] + len(keyword))))
             continue
         checker.env[decl.name] = entry
         report.declarations_checked += 1

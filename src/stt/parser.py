@@ -76,6 +76,7 @@ class Parser:
     def spanned(self, node, start: int, end: Optional[int] = None):
         end_pos = self.toks[max(0, (end if end is not None else self.pos) - 1)].span[1]
         self.module.span_table[id(node)] = (self.toks[start].span[0], end_pos)
+        self.module.spanned.append(node)
         return node
 
     # -- cube sorts ----------------------------------------------------------
@@ -475,6 +476,8 @@ class Parser:
             body=body,
             span=(kw.span[0], semi.span[1]),
             name_span=name_tok.span,
+            idents=tuple(dict.fromkeys(
+                t.text for t in self.toks[start:self.pos] if t.kind == "IDENT")),
         )
 
     def synchronize(self) -> None:

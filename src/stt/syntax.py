@@ -274,6 +274,8 @@ class Declaration:
     body: Optional[Term]
     span: tuple[int, int]
     name_span: tuple[int, int]
+    # the identifiers of the declaration's text, each once, in order
+    idents: tuple[str, ...] = ()
 
 
 @dataclass(eq=False)
@@ -285,9 +287,17 @@ class SourceModule:
     declarations: list[Declaration] = field(default_factory=list)
     span_table: dict[int, tuple[int, int]] = field(default_factory=dict)
     directives: dict[str, list[str]] = field(default_factory=dict)
+    # every node of span_table, alive as long as the module, so that no
+    # other object takes its id: a parse that backtracks drops nodes it spanned
+    spanned: list = field(default_factory=list)
 
     def span_of(self, node: object) -> Optional[tuple[int, int]]:
         return self.span_table.get(id(node))
+
+    @property
+    def tier(self) -> Optional[str]:
+        """The module's ``--@tier``: the first one it gives, if any."""
+        return (self.directives.get("tier") or [None])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import glob
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -30,12 +31,38 @@ def record_stores(monkeypatch) -> list[str]:
     stored = []
     store = Cache.store
 
-    def recording_store(self, key, report, interface):
+    def recording_store(self, key, report, *rest):
         stored.append(report.module)
-        store(self, key, report, interface)
+        store(self, key, report, *rest)
 
     monkeypatch.setattr(Cache, "store", recording_store)
     return stored
+
+
+def record_checks(monkeypatch) -> list[str]:
+    """The list to which each later `Checker.check_declaration` appends the
+    name of its declaration."""
+    from stt.kernel import Checker
+
+    checked = []
+    check_declaration = Checker.check_declaration
+
+    def recording_check(self, decl):
+        checked.append(decl.name)
+        return check_declaration(self, decl)
+
+    monkeypatch.setattr(Checker, "check_declaration", recording_check)
+    return checked
+
+
+# well-typed declarations that mention no corpus name
+WELL_TYPED = (
+    "def {n} (A0 : U) (a0 : A0) : A0 := a0;",
+    "def {n} (A0 : U) (a0 : A0) : Id A0 a0 a0 := refl a0;",
+    "def {n} (A0 : U) (p0 : A0 * A0) : A0 := fst p0;",
+    "def {n} (A0 : U) (a0 : A0) : (t : {{(t,s) : I * I | s <= t}}) -> A0 := \\t . a0;",
+)
+EDIT_TRIALS = 20
 
 
 def run_python(*args):
@@ -74,6 +101,17 @@ class TestExitCodes:
         code, _, _ = run_cli("--capacity")
         assert code == 2
 
+    def test_internal_error_exits_3(self, run_cli, tmp_path, monkeypatch):
+        import stt.cli
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("no such state\nat all")
+
+        monkeypatch.setattr(stt.cli, "check_modules", broken)
+        f = write(tmp_path, "ok.stt", "def a : U1 := U;\n")
+        assert run_cli(f) == (
+            3, "", "error[INTERNAL]: RuntimeError('no such state\\nat all')\n")
+
     def test_exit_code_matrix(self, run_cli, tmp_path):
         """Seeded files exercising the 0/1/2 contract together."""
         good = write(tmp_path, "g.stt", "def a : U := {t : I | TOP};\n")
@@ -105,6 +143,25 @@ class TestRobustness:
             # the excerpt of the 40,015-column line is clipped to 120 columns
             after_header = proc.stdout.splitlines()[1:]
             assert max(len(line) for line in after_header) <= len("    ") + 120
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json"])
+    def test_checking_too_deep_is_a_check_error(self, tmp_path, flags):
+        arrows = 40_000
+        f = write(tmp_path, "deep.stt",
+                  "def x : U1 := " + "U -> " * arrows + "U;\n"
+                  "def a : U1 := U;\n")
+        proc = run_python("-m", "stt.cli", "check", f, "--no-cache", *flags)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        if flags:
+            (obj,) = [json.loads(line) for line in proc.stdout.splitlines()]
+            assert [(d["code"], d["message"], d["span"]["start"], d["span"]["end"])
+                    for d in obj["diagnostics"]] == [
+                ("CHECK", "in 'x': nesting too deep to check", 0, 3)]
+            assert obj["stats"]["declarations_checked"] == 1
+        else:
+            assert "deep.stt:1:1: error[CHECK]: in 'x': nesting too deep to check" in proc.stdout
+            assert proc.stdout.endswith("deep: failed (1 declarations, 1 solver queries)\n")
 
     def test_parser_alone_parses_deep_nesting(self):
         proc = run_python("-c", (
@@ -187,6 +244,16 @@ class TestRobustness:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (2, "")
+
+    def test_importing_the_driver_loads_only_the_driver(self):
+        """`import stt.cli` is the start-up of every run, so it loads the
+        cache and the diagnostics but nothing that checks."""
+        proc = run_python("-c", (
+            "import sys, stt.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('stt')))"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == repr(
+            ["stt", "stt.cache", "stt.cli", "stt.diagnostics"])
 
     def test_import_leaves_numpy_out(self):
         proc = run_python(
@@ -432,10 +499,13 @@ class TestCache:
         return tmp_path / "user.stt", tmp_path / "cache"
 
     @staticmethod
-    def env_files(cache) -> dict:
-        """The env entry of each module, by module name."""
-        return {json.loads(p.read_text())["entries"][0][2]: p
-                for p in cache.rglob("*.env.json")}
+    def record_tables(cache) -> dict:
+        """The record table of each module, by the module of its entries."""
+        tables = {}
+        for p in cache.rglob("*.records.json"):
+            records = json.loads(p.read_text())["records"].values()
+            tables[next(r["entry"][2] for r in records if r["entry"])] = p
+        return tables
 
     def test_an_edit_parses_only_the_edited_module(self, run_cli, tmp_path, monkeypatch):
         import stt.parser
@@ -443,7 +513,7 @@ class TestCache:
         user, cache = self.chain(tmp_path)
         user.write_text("import mid;\ndef g (x : E) : E := x;\n")
         run_cli(str(user), cache_dir=cache)
-        assert sorted(self.env_files(cache)) == ["base", "mid", "user"]
+        assert sorted(self.record_tables(cache)) == ["base", "mid", "user"]
         parsed = []
         parse_module = stt.parser.parse_module
 
@@ -465,14 +535,15 @@ class TestCache:
         user, cache = self.chain(tmp_path)
         user.write_text("import mid;\ndef g (x : E) : E := x;\n")
         run_cli(str(user), cache_dir=cache)
-        mid = self.env_files(cache)["mid"]
+        mid = self.record_tables(cache)["mid"]
         if damage == "deleted":
             mid.unlink()
         elif damage == "entries":
-            mid.write_text(json.dumps({"entries": 5}))
+            mid.write_text(json.dumps({"records": 5}))
         else:
             mid.write_text(mid.read_text().replace('["Var", "D2"]', '["NoSuchNode"]'))
-        user.write_text(user.read_text() + "-- an edit\n")
+        # a new declaration is checked, which loads the imports' entries
+        user.write_text(user.read_text() + "def h (x : E) : E := g x;\n")
         code, out, err = run_cli(str(user), "--json", cache_dir=cache)
         assert (code, out) == run_cli(str(user), "--json")[:2]
         assert err == "warning: corrupt cache entry for mid; rechecking\n"
@@ -487,7 +558,8 @@ class TestCache:
         user, cache = self.chain(tmp_path)
         user.write_text("import base;\ndef F : U := D2;\n")
         run_cli(str(user), cache_dir=cache)
-        data = json.loads(self.env_files(cache)["base"].read_text())["entries"]
+        records = json.loads(self.record_tables(cache)["base"].read_text())["records"]
+        data = [r["entry"] for r in records.values() if r["entry"]]
         stored = {v for entry in data for rows in entry[3:] if rows
                   for row in rows for v in row[1:] if "$" in str(v)}
         assert stored  # the pair pattern's binder
@@ -513,10 +585,28 @@ class TestCache:
         monkeypatch.setattr(
             Cache, "_write", lambda self, p, d: opened.append(p) or write_(self, p, d))
         assert run_cli(str(user), "--json", cache_dir=cache) == first
-        assert opened and not [p for p in opened if p.endswith(".env.json")]
+        assert opened and not [p for p in opened if p.endswith(".records.json")]
         opened.clear()
         assert run_cli(str(user), "--json") == first
         assert opened == []
+
+    def test_warm_and_uncached_runs_compute_no_declaration_key(
+            self, run_cli, tmp_path, monkeypatch):
+        import stt.cli
+
+        user, cache = self.chain(tmp_path)
+        user.write_text("import mid;\ndef F : U := E;\n")
+        first = run_cli(str(user), "--json", cache_dir=cache)
+        keyed = []
+        key = stt.cli.declaration_key
+        monkeypatch.setattr(
+            stt.cli, "declaration_key", lambda *a: keyed.append(a) or key(*a))
+        assert run_cli(str(user), "--json", cache_dir=cache) == first
+        assert run_cli(str(user), "--json") == first
+        assert keyed == []
+        user.write_text("-- an edit\n" + user.read_text())
+        assert run_cli(str(user), "--json", cache_dir=cache)[0] == 0
+        assert len(keyed) == 1
 
     def test_no_cache_bypasses(self, run_cli, tmp_path):
         f = write(tmp_path, "m.stt", "def a : U := {t : I | TOP};\n")
@@ -524,6 +614,199 @@ class TestCache:
         run_cli(f, cache_dir=cache)
         code, out, _ = run_cli(f)  # --no-cache default in fixture
         assert code == 0
+
+    # -- per-declaration early cutoff ---------------------------------------------
+
+    @staticmethod
+    def recheck(run_cli, target, cache, checked) -> list[str]:
+        """Check ``target`` with the cache, and with a copy of it made first,
+        with ``--json`` and in human form; assert that each output equals the
+        ``--no-cache`` one.  Returns the declarations the first run checked."""
+        twin = cache.parent / (cache.name + "-twin")
+        shutil.rmtree(twin, ignore_errors=True)
+        shutil.copytree(cache, twin)
+        checked.clear()
+        cached = run_cli(str(target), "--json", cache_dir=cache)
+        rechecked = list(checked)
+        assert cached == run_cli(str(target), "--json")
+        assert run_cli(str(target), cache_dir=twin) == run_cli(str(target))
+        return rechecked
+
+    def test_a_comment_above_a_failing_declaration_rechecks_nothing(
+            self, run_cli, tmp_path, monkeypatch):
+        m = tmp_path / "m.stt"
+        head = "postulate X : U;\npostulate Y : U;\npostulate y0 : Y;\n"
+        m.write_text(head + "def bad : X := y0;\n")
+        cache = tmp_path / "cache"
+        code, out, _ = run_cli(str(m), "--json", cache_dir=cache)
+        (before,) = json.loads(out)["diagnostics"]
+        checked = record_checks(monkeypatch)
+        comment = "-- a comment\n"
+        m.write_text(head + comment + "def bad : X := y0;\n")
+        assert self.recheck(run_cli, m, cache, checked) == []
+        code, out, _ = run_cli(str(m), "--json", cache_dir=cache)
+        (after,) = json.loads(out)["diagnostics"]
+        assert code == 1 and after["code"] == before["code"] == "CHECK"
+        assert after["span"]["start"] == before["span"]["start"] + len(comment)
+        assert after["span"]["end"] == before["span"]["end"] + len(comment)
+
+    def test_a_changed_body_rechecks_the_declarations_that_mention_it(
+            self, run_cli, tmp_path, monkeypatch):
+        base = tmp_path / "base.stt"
+        rest = ("def B : A -> A := \\a . a;\n"
+                "def C : U := X;\n")
+        base.write_text("postulate X : U;\npostulate Y : U;\n"
+                        "def A : U := X;\n" + rest)
+        user = write(tmp_path, "user.stt",
+                     "import base;\ndef D : A -> A := B;\ndef E : U := C;\n")
+        cache = tmp_path / "cache"
+        assert run_cli(user, cache_dir=cache)[0] == 0
+        checked = record_checks(monkeypatch)
+        base.write_text("postulate X : U;\npostulate Y : U;\n"
+                        "def A : U := Y;\n" + rest)
+        assert self.recheck(run_cli, user, cache, checked) == ["A", "B", "D"]
+
+    def test_a_name_defined_later_in_an_import_rechecks_its_mention(
+            self, run_cli, tmp_path, monkeypatch):
+        base = tmp_path / "base.stt"
+        base.write_text("postulate X : U;\n")
+        user = write(tmp_path, "user.stt",
+                     "import base;\ndef f : U := X;\ndef g : U := foo;\n")
+        cache = tmp_path / "cache"
+        assert run_cli(user, cache_dir=cache)[0] == 1
+        checked = record_checks(monkeypatch)
+        base.write_text("postulate X : U;\ndef foo : U := X;\n")
+        assert self.recheck(run_cli, user, cache, checked) == ["foo", "g"]
+        assert run_cli(user, cache_dir=cache)[0] == 0
+
+    def test_a_new_clashing_import_declaration_matches_a_fresh_check(
+            self, run_cli, tmp_path, monkeypatch):
+        write(tmp_path, "a.stt", "postulate X : U;\ndef x : U := X;\n")
+        b = tmp_path / "b.stt"
+        b.write_text("postulate Y : U;\n")
+        user = write(tmp_path, "user.stt",
+                     "import a;\nimport b;\ndef u : U := x;\ndef y : U := Y;\n")
+        cache = tmp_path / "cache"
+        assert run_cli(user, cache_dir=cache)[0] == 0
+        checked = record_checks(monkeypatch)
+        # b, imported last, wins the name x: u now names a type of U1.  A
+        # new clash is in the key of each declaration of user.
+        b.write_text("postulate Y : U;\ndef x : U1 := U;\n")
+        assert self.recheck(run_cli, user, cache, checked) == ["x", "u", "y"]
+        # a name user declares
+        b.write_text("postulate Y : U;\ndef x : U1 := U;\ndef y : U := Y;\n")
+        assert self.recheck(run_cli, user, cache, checked) == ["y", "y"]
+        reports = run_cli(user, "--json", cache_dir=cache)[1].splitlines()
+        assert [(d["code"], d["message"]) for d in json.loads(reports[2])["diagnostics"]] == [
+            ("CHECK", "in 'u': expected U, inferred U1"),
+            ("IMPORT", "in 'y': 'y' is already declared in module 'b'")]
+
+    def test_a_clash_reached_only_by_unfolding_is_in_the_key(
+            self, run_cli, tmp_path, monkeypatch):
+        """f names only A, which unfolds to B; the B it sees is c's, which
+        wins the clash with base's, so a change of c's B reaches f."""
+        write(tmp_path, "base.stt", "def B : U1 := U;\n")
+        write(tmp_path, "mid.stt", "import base;\ndef A : U1 := B;\n")
+        c = tmp_path / "c.stt"
+        c.write_text("def B : U1 := U -> U;\n")
+        user = write(tmp_path, "user.stt",
+                     "import mid;\nimport c;\npostulate X : U;\ndef f : A := X;\n")
+        cache = tmp_path / "cache"
+        assert run_cli(user, cache_dir=cache)[0] == 1
+        checked = record_checks(monkeypatch)
+        c.write_text("def B : U1 := U;\n")
+        assert self.recheck(run_cli, user, cache, checked) == ["B", "X", "f"]
+        assert run_cli(user, cache_dir=cache)[0] == 0
+
+    def test_a_tier_change_reports_a_stray_postulate(self, run_cli, tmp_path, monkeypatch):
+        m = tmp_path / "m.stt"
+        body = "def idfun (A : U) : A -> A := \\x . x;\npostulate sneaky : U;\n"
+        m.write_text("--@tier T2\n" + body)
+        cache = tmp_path / "cache"
+        assert run_cli(str(m), cache_dir=cache)[0] == 0
+        checked = record_checks(monkeypatch)
+        m.write_text("--@tier T1\n" + body)
+        assert self.recheck(run_cli, m, cache, checked) == ["idfun"]
+        code, out, _ = run_cli(str(m), "--json", cache_dir=cache)
+        assert code == 1
+        assert [d["code"] for d in json.loads(out)["diagnostics"]] == ["TIER"]
+
+    @pytest.mark.parametrize("damage", [
+        "{ not json", json.dumps({"records": 5}),
+        json.dumps({"records": {"k": {
+            "queries": 1, "diagnostics": [["error", "CHECK", "m", 0]], "entry": None}}}),
+    ], ids=["json", "records", "record"])
+    def test_a_damaged_record_table_is_a_corrupt_miss(
+            self, run_cli, tmp_path, monkeypatch, damage):
+        m = tmp_path / "m.stt"
+        m.write_text("postulate X : U;\ndef f : U := X;\n")
+        cache = tmp_path / "cache"
+        fresh = run_cli(str(m), "--json", cache_dir=cache)
+        (table,) = cache.rglob("*.records.json")
+        table.write_text(damage)
+        checked = record_checks(monkeypatch)
+        m.write_text(m.read_text() + "-- an edit\n")
+        code, out, err = run_cli(str(m), "--json", cache_dir=cache)
+        assert (code, out) == fresh[:2]
+        assert err == "warning: corrupt cache entry for m; rechecking\n"
+        assert checked == ["X", "f"]
+        # the table was stored again
+        m.write_text(m.read_text() + "-- a second edit\n")
+        checked.clear()
+        assert run_cli(str(m), "--json", cache_dir=cache) == fresh
+        assert checked == []
+
+    def test_a_comment_loads_neither_kernel_nor_solver(self, tmp_path):
+        write(tmp_path, "base.stt", "def X : U := {t : I | TOP};\n")
+        user = tmp_path / "user.stt"
+        user.write_text("import base;\ndef g (x : X) : X := x;\n")
+        args = ["check", str(user), "--json", "--cache-dir", str(tmp_path / "cache")]
+        first = run_python("-m", "stt.cli", *args)
+        assert first.returncode == 0, first.stderr
+        user.write_text("-- a comment\n" + user.read_text())
+        proc = run_python("-c", (
+            "import sys, stt.cli\n"
+            f"code = stt.cli.main({args!r})\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('stt.')))"))
+        assert proc.returncode == 0, proc.stderr
+        *out, last = proc.stdout.splitlines()
+        code, loaded = last.split(" ", 1)
+        assert code == "0" and out == first.stdout.splitlines()
+        assert "'stt.parser'" in loaded
+        for heavy in ("kernel", "topes", "printer"):
+            assert f"'stt.{heavy}'" not in loaded
+
+    def test_edits_in_the_middle_of_corpus_files_match_a_fresh_check(
+            self, run_cli, tmp_path):
+        """Comments and well-typed declarations inserted between and inside
+        the declarations of corpus files, some kept for later trials and
+        some undone, so that record tables of other versions are met."""
+        work = tmp_path / "corpus"
+        shutil.copytree(CORPUS, work)
+        cache = tmp_path / "cache"
+        target = str(work / "all.stt")
+        run_cli(target, cache_dir=cache)
+        files = sorted(p.name for p in work.glob("*.stt") if p.name != "all.stt")
+        originals = {f: (work / f).read_text() for f in files}
+        rng = random.Random(19)
+        for trial in range(EDIT_TRIALS):
+            name = rng.choice(files)
+            lines = (work / name).read_text().split("\n")
+            heads = [i for i, line in enumerate(lines)
+                     if line.startswith(("def ", "postulate "))]
+            kind = rng.choice(["comment", "inner comment", "declaration"])
+            if kind == "comment":
+                at, new = rng.randrange(len(lines) + 1), [f"-- edit {trial}"]
+            elif kind == "inner comment":
+                at, new = rng.choice(heads) + 1, [f"  -- edit {trial}"]
+            else:
+                at = rng.choice(heads)
+                new = [rng.choice(WELL_TYPED).format(n=f"edit_{trial}"), ""]
+            (work / name).write_text("\n".join(lines[:at] + new + lines[at:]))
+            cached = run_cli(target, "--json", cache_dir=cache)
+            assert cached == run_cli(target, "--json"), (trial, name, kind)
+            if rng.random() < 0.5:
+                (work / name).write_text(originals[name])
 
 
 EXPECTED_NEGATIVE = [

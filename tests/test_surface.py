@@ -1,10 +1,13 @@
 """Lexer, parser and printer: tokens, recovery, spans, round trips."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import CORPUS, REPO
 from stt.lexer import LexError, tokenize
 from stt.parser import parse_module, parse_term
 from stt.printer import print_term
@@ -14,8 +17,6 @@ from stt.syntax import (
     TOP, TopeEq, TopeLeq, TopeOr, TypedBinder, Universe, UnitCube, Var,
     alpha_eq,
 )
-
-CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "corpus")
 
 
 class TestTokenize:
@@ -111,6 +112,27 @@ class TestParse:
         body = mod.declarations[0].body
         span = mod.span_of(body)
         assert span is not None and src[span[0]:span[1]].startswith("{t")
+
+    def test_no_node_made_after_a_parse_has_a_span(self):
+        """The parse of shapes.stt backtracks past nodes it spanned; no node
+        made later may take one of their ids and with it a span.  A fresh
+        interpreter makes the allocations the same from run to run."""
+        proc = subprocess.run([sys.executable, "-c", (
+            "from stt.parser import parse_module\n"
+            "from stt.syntax import App, Universe, Var\n"
+            f"with open({os.path.join(CORPUS, 'shapes.stt')!r}) as fh:\n"
+            "    mod, _ = parse_module(fh.read(), 'shapes.stt')\n"
+            "made = [n for _ in range(20_000)\n"
+            "        for n in (Var('x'), App(Var('f'), Var('y')), Universe(0))]\n"
+            "print(sum(mod.span_of(n) is not None for n in made))")],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.join(REPO, "src")))
+        assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+    def test_declarations_list_their_identifiers(self):
+        mod, _ = parse_module(
+            "def f (x : A) : B x := g x (\\y . y) x;", "m.stt")
+        assert mod.declarations[0].idents == ("f", "x", "A", "B", "g", "y")
 
     def test_postulate_has_no_body(self):
         mod, diags = parse_module("postulate X : U := U;", "m.stt")
