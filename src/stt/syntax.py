@@ -11,6 +11,13 @@ Three layers share one term language:
 Cube terms are ordinary `Term`s restricted to the cube formers; the kernel
 decides from types which reading applies, so substitution and reduction
 stay uniform across layers.
+
+Every node is a frozen dataclass, and its fields are its schema: the
+leading ``str`` and ``int`` fields are atoms (names and levels), the rest
+are children (terms, topes and cube sorts), and a binding class names in
+its class attribute ``scope`` the children its ``binder`` scopes over.
+Free variables, substitution, α-equality and the stored form are each one
+walk over the table of these rows, `_LAYOUT`.
 """
 
 from __future__ import annotations
@@ -73,12 +80,14 @@ class Pi:
     binder: str
     domain: "Term"
     codomain: "Term"
+    scope = ("codomain",)
 
 
 @dataclass(**_TERM_KW)
 class Lam:
     binder: str
     body: "Term"
+    scope = ("body",)
 
 
 @dataclass(**_TERM_KW)
@@ -92,6 +101,7 @@ class Sigma:
     binder: str
     fst_type: "Term"
     snd_type: "Term"
+    scope = ("snd_type",)
 
 
 @dataclass(**_TERM_KW)
@@ -136,20 +146,21 @@ class ShapeTy:
     binder: str
     sort: CubeSort
     tope: "Tope"
+    scope = ("tope",)
 
 
 @dataclass(**_TERM_KW)
 class Extension:
     """Sections of ``family`` over a shape, judgmentally equal to
     ``partial`` on the subtope.  ``domain`` is a term that must reduce to a
-    shape type; ``binder`` scopes over ``subtope``, ``family`` and
-    ``partial``."""
+    shape type."""
 
     binder: str
     domain: "Term"
     subtope: "Tope"
     family: "Term"
     partial: "Term"
+    scope = ("subtope", "family", "partial")
 
 
 @dataclass(**_TERM_KW)
@@ -316,6 +327,38 @@ def allow_deep_recursion() -> None:
 
 
 # ---------------------------------------------------------------------------
+# the node table
+
+
+def _layout(cls) -> tuple[type, tuple[str, ...], tuple[type, ...], tuple[str, ...],
+                          tuple[bool, ...]]:
+    """A node class's row of the node table: the class; the names and types
+    of its leading ``str`` and ``int`` fields, its atoms; the names of the
+    fields that follow them, its children; and for each child whether it
+    lies under the class's ``binder``, that is, is named in its ``scope``.
+    A binding class's ``binder`` is its first field, and the children under
+    it follow those outside it."""
+    names = [f.name for f in fields(cls)]
+    types = []
+    for f in fields(cls):
+        if f.type not in ("str", "int"):
+            break
+        types.append(str if f.type == "str" else int)
+    children = tuple(names[len(types):])
+    scope = getattr(cls, "scope", ())
+    return (cls, tuple(names[:len(types)]), tuple(types), children,
+            tuple(c in scope for c in children))
+
+
+# every node class, with its row: the walks below dispatch on the exact
+# class, and these are the only classes a stored form can make
+_LAYOUT = {
+    cls: _layout(cls) for cls in get_args(Term) + get_args(Tope) + get_args(CubeSort)
+}
+_BY_NAME = {cls.__name__: row for cls, row in _LAYOUT.items()}
+
+
+# ---------------------------------------------------------------------------
 # fresh names, free variables, substitution
 
 _fresh_counter = itertools.count(1)
@@ -338,63 +381,20 @@ def free_vars(t: Union[Term, Tope]) -> frozenset[str]:
         return t._fv
     except AttributeError:
         pass
-    out: set[str] = set()
-    _free_vars(t, out)
-    result = frozenset(out)
-    try:
-        object.__setattr__(t, "_fv", result)
-    except (AttributeError, TypeError):
-        pass
+    if type(t) is Var:
+        result = frozenset((t.name,))
+    else:
+        _, _, _, children, under = _LAYOUT[type(t)]
+        out: set[str] = set()
+        bound: set[str] = set()
+        for c, u in zip(children, under):
+            (bound if u else out).update(free_vars(getattr(t, c)))
+        if bound:
+            bound.discard(t.binder)
+            out |= bound
+        result = frozenset(out)
+    object.__setattr__(t, "_fv", result)
     return result
-
-
-def _free_vars(t, out: set[str]) -> None:
-    match t:
-        case Var(name):
-            out.add(name)
-        case Pi(x, dom, cod) | Sigma(x, dom, cod):
-            out |= free_vars(dom)
-            out |= free_vars(cod) - {x}
-        case Lam(x, body):
-            out |= free_vars(body) - {x}
-        case App(f, a):
-            out |= free_vars(f)
-            out |= free_vars(a)
-        case Pair(a, b) | Meet(a, b) | Join(a, b):
-            out |= free_vars(a)
-            out |= free_vars(b)
-        case Fst(p) | Snd(p) | Refl(p):
-            out |= free_vars(p)
-        case IdType(amb, l, r):
-            out |= free_vars(amb)
-            out |= free_vars(l)
-            out |= free_vars(r)
-        case JElim(c, d, p):
-            out |= free_vars(c)
-            out |= free_vars(d)
-            out |= free_vars(p)
-        case ShapeTy(x, _, tope):
-            out |= free_vars(tope) - {x}
-        case Extension(x, dom, phi, fam, part):
-            out |= free_vars(dom)
-            sub: set[str] = set()
-            for piece in (phi, fam, part):
-                sub |= free_vars(piece)
-            sub.discard(x)
-            out |= sub
-        case RecOr(lt, rt, l, r):
-            out |= free_vars(lt)
-            out |= free_vars(rt)
-            out |= free_vars(l)
-            out |= free_vars(r)
-        case TopeEq(l, r) | TopeLeq(l, r):
-            out |= free_vars(l)
-            out |= free_vars(r)
-        case TopeAnd(l, r) | TopeOr(l, r):
-            out |= free_vars(l)
-            out |= free_vars(r)
-        case _:
-            pass
 
 
 def subst(t, name: str, value: Term):
@@ -422,90 +422,44 @@ def _subst(t, sigma, fvs):
     """The substitution walk.  ``fvs`` is the union of the free variables
     of ``sigma``'s values.  It is recomputed only where ``sigma`` changes,
     so that substituting one name costs what a walk made for one name
-    would."""
+    would.  A binder that ``sigma`` would capture is renamed in the same
+    walk."""
     try:
         fv = t._fv
     except AttributeError:
         fv = free_vars(t)
     if fv.isdisjoint(sigma):
         return t
-    if type(t) is Var:
+    cls = type(t)
+    if cls is Var:
         return sigma[t.name]
     if len(sigma) > 1 and not fv.issuperset(sigma):
         sigma = {x: v for x, v in sigma.items() if x in fv}
         fvs = _values_fv(sigma)
-    out = _rebuild(t, sigma, fvs)
+    _, atoms, _, children, under = _LAYOUT[cls]
+    args = [getattr(t, a) for a in atoms] if atoms else []
+    inner, inner_fvs = sigma, fvs
+    for c, u in zip(children, under):
+        if u and inner is sigma:
+            # the binder, after the children outside it, since renaming it
+            # draws a fresh name: a name it shadows drops out, and it is
+            # renamed if it would capture a free variable of a value; either
+            # makes ``inner`` a new dict, and if neither does, this step at
+            # the next child changes nothing
+            x = args[0]
+            if x in inner:
+                inner = {y: v for y, v in inner.items() if y != x}
+                inner_fvs = _values_fv(inner)
+            if x in inner_fvs:
+                args[0] = fresh_name(x)
+                inner = {**inner, x: Var(args[0])}
+                inner_fvs = inner_fvs | {args[0]}
+        args.append(_subst(getattr(t, c), inner, inner_fvs))
+    out = cls(*args)
     # every name of ``sigma`` is free in ``t`` and renaming a binder changes
     # no free variable, so the result's free variables need no walk
     object.__setattr__(out, "_fv", fv.difference(sigma) | fvs)
     return out
-
-
-def _bind(x: str, pieces: list, sigma, fvs):
-    """Push ``sigma`` under a binder ``x`` that scopes over ``pieces``.  A
-    name that ``x`` shadows drops out; if ``x`` would capture a free
-    variable of a value, the same walk renames it."""
-    if x in sigma:
-        sigma = {y: v for y, v in sigma.items() if y != x}
-        fvs = _values_fv(sigma)
-    if x in fvs:
-        x2 = fresh_name(x)
-        sigma = {**sigma, x: Var(x2)}
-        fvs = fvs | {x2}
-        x = x2
-    return x, [_subst(p, sigma, fvs) for p in pieces]
-
-
-def _rebuild(t, sigma, fvs):
-    """One step of `_subst` on a compound node in which every name of
-    ``sigma`` occurs free.  It dispatches on the exact class, as the
-    kernel's hottest function: a chain of class patterns costs an
-    isinstance test per case tried."""
-    cls = type(t)
-    step = _STEP.get(cls)
-    if step is not None:
-        return step(t, sigma, fvs)
-    if cls is Lam:
-        x2, [body2] = _bind(t.binder, [t.body], sigma, fvs)
-        return Lam(x2, body2)
-    if cls is Pi or cls is Sigma:
-        x, dom, cod = (
-            (t.binder, t.domain, t.codomain) if cls is Pi
-            else (t.binder, t.fst_type, t.snd_type))
-        dom2 = _subst(dom, sigma, fvs)
-        x2, [cod2] = _bind(x, [cod], sigma, fvs)
-        return cls(x2, dom2, cod2)
-    if cls is ShapeTy:
-        x2, [tope2] = _bind(t.binder, [t.tope], sigma, fvs)
-        return ShapeTy(x2, t.sort, tope2)
-    if cls is Extension:
-        dom2 = _subst(t.domain, sigma, fvs)
-        x2, pieces = _bind(t.binder, [t.subtope, t.family, t.partial], sigma, fvs)
-        return Extension(x2, dom2, *pieces)
-    raise AssertionError(f"free variables {sorted(sigma)} in a {cls.__name__}")
-
-
-# `_rebuild` on each node class that binds nothing (``s`` is ``sigma`` and
-# ``f`` is ``fvs``)
-_STEP = {
-    App: lambda t, s, f: App(_subst(t.fn, s, f), _subst(t.arg, s, f)),
-    Pair: lambda t, s, f: Pair(_subst(t.fst, s, f), _subst(t.snd, s, f)),
-    Fst: lambda t, s, f: Fst(_subst(t.pair, s, f)),
-    Snd: lambda t, s, f: Snd(_subst(t.pair, s, f)),
-    Refl: lambda t, s, f: Refl(_subst(t.arg, s, f)),
-    IdType: lambda t, s, f: IdType(
-        _subst(t.ambient, s, f), _subst(t.lhs, s, f), _subst(t.rhs, s, f)),
-    JElim: lambda t, s, f: JElim(
-        _subst(t.motive, s, f), _subst(t.base, s, f), _subst(t.path, s, f)),
-    RecOr: lambda t, s, f: RecOr(_subst(t.left_tope, s, f), _subst(t.right_tope, s, f),
-                                 _subst(t.left, s, f), _subst(t.right, s, f)),
-    Meet: lambda t, s, f: Meet(_subst(t.left, s, f), _subst(t.right, s, f)),
-    Join: lambda t, s, f: Join(_subst(t.left, s, f), _subst(t.right, s, f)),
-    TopeEq: lambda t, s, f: TopeEq(_subst(t.lhs, s, f), _subst(t.rhs, s, f)),
-    TopeLeq: lambda t, s, f: TopeLeq(_subst(t.lhs, s, f), _subst(t.rhs, s, f)),
-    TopeAnd: lambda t, s, f: TopeAnd(_subst(t.left, s, f), _subst(t.right, s, f)),
-    TopeOr: lambda t, s, f: TopeOr(_subst(t.left, s, f), _subst(t.right, s, f)),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -517,127 +471,60 @@ def alpha_eq(a, b) -> bool:
     return _alpha(a, b, {}, {})
 
 
-def _under(x, y, pieces_a, pieces_b, fwd: dict[str, str], bwd: dict[str, str]) -> bool:
-    """`_alpha` on pieces under binders ``x`` and ``y``: the two maps gain
-    ``x -> y`` for the walk and get their old values back after it."""
-    old_x, old_y = fwd.get(x), bwd.get(y)
-    fwd[x] = y
-    bwd[y] = x
-    equal = all(_alpha(pa, pb, fwd, bwd) for pa, pb in zip(pieces_a, pieces_b))
-    if old_x is None:
-        del fwd[x]
-    else:
-        fwd[x] = old_x
-    if old_y is None:
-        del bwd[y]
-    else:
-        bwd[y] = old_y
-    return equal
-
-
 def _alpha(a, b, fwd: dict[str, str], bwd: dict[str, str]) -> bool:
-    if type(a) is not type(b):
+    """``fwd`` maps each binder of ``a`` in scope to the binder of ``b`` at
+    the same place, and ``bwd`` back."""
+    cls = type(a)
+    if cls is not type(b):
         return False
-
-    match a, b:
-        case Var(n1), Var(n2):
-            return fwd.get(n1, n1) == n2 and bwd.get(n2, n2) == n1
-        case Universe(l1), Universe(l2):
-            return l1 == l2
-        case Pi(x, d1, c1), Pi(y, d2, c2):
-            return _alpha(d1, d2, fwd, bwd) and _under(x, y, [c1], [c2], fwd, bwd)
-        case Sigma(x, d1, c1), Sigma(y, d2, c2):
-            return _alpha(d1, d2, fwd, bwd) and _under(x, y, [c1], [c2], fwd, bwd)
-        case Lam(x, b1), Lam(y, b2):
-            return _under(x, y, [b1], [b2], fwd, bwd)
-        case App(f1, a1), App(f2, a2):
-            return _alpha(f1, f2, fwd, bwd) and _alpha(a1, a2, fwd, bwd)
-        case Pair(l1, r1), Pair(l2, r2):
-            return _alpha(l1, l2, fwd, bwd) and _alpha(r1, r2, fwd, bwd)
-        case Fst(p1), Fst(p2):
-            return _alpha(p1, p2, fwd, bwd)
-        case Snd(p1), Snd(p2):
-            return _alpha(p1, p2, fwd, bwd)
-        case IdType(m1, l1, r1), IdType(m2, l2, r2):
-            return (
-                _alpha(m1, m2, fwd, bwd)
-                and _alpha(l1, l2, fwd, bwd)
-                and _alpha(r1, r2, fwd, bwd)
-            )
-        case Refl(a1), Refl(a2):
-            return _alpha(a1, a2, fwd, bwd)
-        case JElim(c1, d1, p1), JElim(c2, d2, p2):
-            return (
-                _alpha(c1, c2, fwd, bwd)
-                and _alpha(d1, d2, fwd, bwd)
-                and _alpha(p1, p2, fwd, bwd)
-            )
-        case ShapeTy(x, s1, t1), ShapeTy(y, s2, t2):
-            return s1 == s2 and _under(x, y, [t1], [t2], fwd, bwd)
-        case Extension(x, d1, p1, f1, a1), Extension(y, d2, p2, f2, a2):
-            return _alpha(d1, d2, fwd, bwd) and _under(
-                x, y, [p1, f1, a1], [p2, f2, a2], fwd, bwd)
-        case RecOr(lt1, rt1, l1, r1), RecOr(lt2, rt2, l2, r2):
-            return all(
-                _alpha(p, q, fwd, bwd)
-                for p, q in ((lt1, lt2), (rt1, rt2), (l1, l2), (r1, r2))
-            )
-        case (RecBot(), RecBot()) | (Cube0(), Cube0()) | (Cube1(), Cube1()):
-            return True
-        case (CubeStar(), CubeStar()) | (TopeTop(), TopeTop()) | (TopeBot(), TopeBot()):
-            return True
-        case Meet(l1, r1), Meet(l2, r2):
-            return _alpha(l1, l2, fwd, bwd) and _alpha(r1, r2, fwd, bwd)
-        case Join(l1, r1), Join(l2, r2):
-            return _alpha(l1, l2, fwd, bwd) and _alpha(r1, r2, fwd, bwd)
-        case TopeEq(l1, r1), TopeEq(l2, r2):
-            return _alpha(l1, l2, fwd, bwd) and _alpha(r1, r2, fwd, bwd)
-        case TopeLeq(l1, r1), TopeLeq(l2, r2):
-            return _alpha(l1, l2, fwd, bwd) and _alpha(r1, r2, fwd, bwd)
-        case TopeAnd(l1, r1), TopeAnd(l2, r2):
-            return _alpha(l1, l2, fwd, bwd) and _alpha(r1, r2, fwd, bwd)
-        case TopeOr(l1, r1), TopeOr(l2, r2):
-            return _alpha(l1, l2, fwd, bwd) and _alpha(r1, r2, fwd, bwd)
-        case _:
+    if cls is Var:
+        return fwd.get(a.name, a.name) == b.name and bwd.get(b.name, b.name) == a.name
+    _, atoms, _, children, under = _LAYOUT[cls]
+    binds = True in under
+    for n in atoms[1:] if binds else atoms:  # binder names are not compared
+        if getattr(a, n) != getattr(b, n):
             return False
+    if binds:
+        # the children under the binders are compared with ``x -> y`` in
+        # the two maps, whose old values come back after the walk
+        x, y = a.binder, b.binder
+        old_x, old_y = fwd.get(x), bwd.get(y)
+    equal = True
+    for c, u in zip(children, under):
+        if u:
+            fwd[x] = y
+            bwd[y] = x
+        if not _alpha(getattr(a, c), getattr(b, c), fwd, bwd):
+            equal = False
+            break
+    if binds:
+        if old_x is None:
+            fwd.pop(x, None)
+        else:
+            fwd[x] = old_x
+        if old_y is None:
+            bwd.pop(y, None)
+        else:
+            bwd[y] = old_y
+    return equal
 
 
 # ---------------------------------------------------------------------------
 # a flat JSON form
 
 
-def _layout(cls) -> tuple[type, tuple[str, ...], tuple[type, ...], tuple[str, ...]]:
-    """A node class, the names and types of its leading name and level
-    fields, and the names of its node fields, which follow them."""
-    names = [f.name for f in fields(cls)]
-    types = []
-    for f in fields(cls):
-        if f.type not in ("str", "int"):
-            break
-        types.append(str if f.type == "str" else int)
-    return cls, tuple(names[:len(types)]), tuple(types), tuple(names[len(types):])
-
-
-# every node class, by name: the only classes a stored form can make
-_LAYOUT = {
-    cls.__name__: _layout(cls)
-    for cls in get_args(Term) + get_args(Tope) + get_args(CubeSort)
-}
-
-
 def encode_term(t) -> list:
     """A term, tope or cube sort as a flat list of rows, children before
-    parents: a node's row is its class name followed by its names and
-    levels, after the rows of its node fields.  Being flat, the form nests
-    no deeper in JSON than one row, however deep the term."""
+    parents: a node's row is its class name followed by its atoms, after
+    the rows of its children.  Being flat, the form nests no deeper in
+    JSON than one row, however deep the term."""
     rows = []
     stack = [t]
     # parents before children, the last child first; reversed at the end
     while stack:
         t = stack.pop()
-        name = type(t).__name__
-        _, atoms, _, children = _LAYOUT[name]
-        rows.append([name, *(getattr(t, a) for a in atoms)])
+        cls, atoms, _, children, _ = _LAYOUT[type(t)]
+        rows.append([cls.__name__, *(getattr(t, a) for a in atoms)])
         stack.extend(getattr(t, c) for c in children)
     rows.reverse()
     return rows
@@ -651,7 +538,7 @@ def decode_term(rows: list, renamed: dict[str, str]):
     class, names or children do not fit raises an exception."""
     stack: list = []
     for row in rows:
-        cls, _, kinds, children = _LAYOUT[row[0]]
+        cls, _, kinds, children, _ = _BY_NAME[row[0]]
         arity = len(children)
         if len(row) != len(kinds) + 1 or len(stack) < arity:
             raise ValueError(f"a malformed {cls.__name__} row")

@@ -17,7 +17,8 @@ reach the same verdicts.
 
 ``reference_subst`` substitutes one name in its own walk, renaming a
 capturing binder by a separate substitution before it descends; the tests
-compare `subst` and `subst_many` with it.
+compare `subst` with it, and `subst_many` with ``reference_subst_many``,
+which makes a simultaneous substitution of it one name at a time.
 
 ``debruijn`` writes a term with de Bruijn indices for its bound variables,
 the reference `alpha_eq` is tested against.  ``rename_binders`` gives every
@@ -136,6 +137,18 @@ def reference_subst(t, name: str, value: Term):
     if name not in free_vars(t) or _renames_to_itself(name, value):
         return t
     return _subst(t, name, value, free_vars(value))
+
+
+def reference_subst_many(t, sigma: dict[str, Term]):
+    """Simultaneous substitution of ``sigma`` in ``t`` by `reference_subst`
+    alone: each name goes first to a fresh name, then each fresh name to
+    its value, so that no value is substituted into another."""
+    fresh = {x: fresh_name("z") for x in sigma}
+    for x, z in fresh.items():
+        t = reference_subst(t, x, Var(z))
+    for x, z in fresh.items():
+        t = reference_subst(t, z, sigma[x])
+    return t
 
 
 def _renames_to_itself(name: str, value: Term) -> bool:

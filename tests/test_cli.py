@@ -1,16 +1,21 @@
 """CLI driver: exit codes, JSON output, resolution, cache behavior."""
 
+import contextlib
 import glob
+import io
 import json
 import os
 import random
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS, NEGATIVE, REPO
+from stt.syntax import allow_deep_recursion
 
 GOLDEN_STT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden_eq.stt")
 GOLDEN_OUT = os.path.join(os.path.dirname(GOLDEN_STT), "golden_eq.out")
@@ -63,6 +68,56 @@ WELL_TYPED = (
     "def {n} (A0 : U) (a0 : A0) : (t : {{(t,s) : I * I | s <= t}}) -> A0 := \\t . a0;",
 )
 EDIT_TRIALS = 20
+
+
+def _token_units(path: str):
+    """The source at ``path`` as a list of its tokens, each with the text
+    between it and the token before it, and the text after the last."""
+    from stt.lexer import tokenize
+
+    with open(path, encoding="utf-8") as fh:
+        source = fh.read()
+    units, end = [], 0
+    for tok in tokenize(source, path):
+        start, stop = tok.span
+        units.append((source[end:start], source[start:stop]))
+        end = stop
+    return units, source[end:]
+
+
+# `main` raises the recursion limit; raising it before any fuzz example
+# runs keeps Hypothesis from warning that it stays raised
+allow_deep_recursion()
+# small corpus modules that import nothing, as token lists
+FUZZ_SEEDS = [_token_units(os.path.join(CORPUS, name))
+              for name in ("shapes.stt", "prelude.stt")]
+
+
+def _edited(seed, edits) -> bytes:
+    """A seed module after token deletions, duplications and swaps; each
+    edit is ``(kind, i, j)``, with ``i`` and ``j`` taken modulo the number
+    of tokens."""
+    units, tail = seed
+    units = list(units)
+    for kind, i, j in edits:
+        i, j = i % len(units), j % len(units)
+        if kind == "delete" and len(units) > 1:
+            del units[i]
+        elif kind == "duplicate":
+            units.insert(i + 1, units[i])
+        elif kind == "swap":
+            (gap_i, tok_i), (gap_j, tok_j) = units[i], units[j]
+            units[i], units[j] = (gap_i, tok_j), (gap_j, tok_i)
+    return ("".join(gap + tok for gap, tok in units) + tail).encode("utf-8")
+
+
+FUZZ_SOURCES = st.one_of(
+    st.binary(max_size=300),
+    st.builds(_edited, st.sampled_from(FUZZ_SEEDS), st.lists(
+        st.tuples(st.sampled_from(["delete", "duplicate", "swap"]),
+                  st.integers(0, 10**6), st.integers(0, 10**6)),
+        min_size=1, max_size=4)),
+)
 
 
 def run_python(*args):
@@ -260,6 +315,29 @@ class TestRobustness:
             "-c", "import sys, stt.cli; print('numpy' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    @settings(max_examples=200, deadline=None)
+    @given(FUZZ_SOURCES)
+    def test_fuzzed_sources_end_in_diagnostics(self, data):
+        from stt.cli import main
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.stt")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            for flags in ([], ["--json"]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([path, "--no-cache", *flags])
+                out, err = out.getvalue(), err.getvalue()
+                assert code in (0, 1, 2), err
+                assert "Traceback" not in out + err
+                assert all(line.startswith(("error", "warning:"))
+                           for line in err.splitlines()), err
+                if flags:
+                    for line in out.splitlines():
+                        assert set(json.loads(line)) == {
+                            "module", "status", "diagnostics", "stats"}
 
 
 def test_the_package_version_has_one_source():

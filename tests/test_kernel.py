@@ -13,9 +13,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import CORPUS, REPO
 from genterms import NAMES, random_term
+import subst_replay
 from kernel_oracle import (
-    InnermostChecker, check_boundary, debruijn, is_node, reference_subst,
-    rename_binders,
+    _SCOPES, InnermostChecker, check_boundary, debruijn, is_node, reference_subst,
+    reference_subst_many, rename_binders,
 )
 from stt import syntax
 from stt.kernel import (
@@ -86,13 +87,7 @@ class TestSubstMany:
         rng = random.Random(seed)
         t = random_term(rng, depth)
         sigma = {x: random_term(rng, rng.randrange(3)) for x in rng.sample(NAMES, n)}
-        # one name at a time, through fresh intermediate names
-        fresh = {x: fresh_name("z") for x in sigma}
-        expected = t
-        for x, z in fresh.items():
-            expected = reference_subst(expected, x, Var(z))
-        for x, z in fresh.items():
-            expected = reference_subst(expected, z, sigma[x])
+        expected = reference_subst_many(t, sigma)
         out = subst_many(t, sigma)
         assert alpha_eq(out, expected)
         assert_cached_free_vars_are_walked(out)
@@ -223,6 +218,35 @@ class TestNodeClasses:
             assert not alpha_eq(t, out)
             assert debruijn(out) == debruijn(reference_subst(t, "y", Var(value)))
 
+    @pytest.mark.parametrize("cls", _node_classes(), ids=lambda c: c.__name__)
+    def test_scope_is_the_oracle_scope(self, cls):
+        # the walks read a binder's scope from the class; the oracle keeps
+        # its own copy
+        scope = getattr(cls, "scope", ())
+        assert scope == _SCOPES.get(cls, ())
+        names = [f.name for f in dataclasses.fields(cls)]
+        nodes = [f.name for f in dataclasses.fields(cls)
+                 if f.type.strip("'\"") in ("Term", "Tope")]
+        assert ("binder" in names) == bool(scope)
+        assert set(scope) <= set(nodes)
+        if scope:  # the layout the walks rely on
+            assert names[0] == "binder" and names[-len(scope):] == list(scope)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 4))
+    def test_free_vars_are_the_free_leaves_of_the_de_bruijn_form(self, seed, depth):
+        t = random_term(random.Random(seed), depth)
+        assert free_vars(t) == _free_leaves(debruijn(t))
+
+
+def _free_leaves(form) -> set[str]:
+    """The names of the ``("free", name)`` leaves of a `debruijn` form."""
+    if type(form) is not tuple:
+        return set()  # a universe level, a cube sort or a bound index
+    if form[0] == "free":
+        return {form[1]}
+    return set().union(*map(_free_leaves, form[1:]))
+
 
 def _names_in(t) -> set[str]:
     """Every binder and variable name in a term, bound or free."""
@@ -293,6 +317,31 @@ class TestStoredForm:
         assert f.type.binder == f.value.binder != g.type.binder
         assert x not in {f.type.binder, g.type.binder}
         assert alpha_eq(f.type, shared) and alpha_eq(g.type, shared)
+
+
+class TestCorpusReplay:
+    """Every substitution and every α-equality test of a cold check of the
+    corpus, against the references of ``kernel_oracle``."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        return subst_replay.record()
+
+    def test_substitutions_agree_with_the_reference(self, recorded):
+        substs, _ = recorded
+        assert sum(len(call) == 3 for call, _ in substs) > 1000
+        assert sum(len(call) == 2 for call, _ in substs) > 1000
+        for call, out in substs:
+            expected = (reference_subst(*call) if len(call) == 3
+                        else reference_subst_many(*call))
+            assert debruijn(out) == debruijn(expected)
+
+    def test_alpha_eq_verdicts_agree_with_de_bruijn_forms(self, recorded):
+        _, alphas = recorded
+        verdicts = collections.Counter(v for _, v in alphas)
+        assert verdicts[True] > 100 and verdicts[False] > 100
+        for (a, b), verdict in alphas:
+            assert verdict == (debruijn(a) == debruijn(b))
 
 
 class TestWhnf:
