@@ -10,9 +10,10 @@ A module has three hashes, and each of its declarations a fourth:
   without parsing.
 * Its **report key** (``module_key``) is the source key plus the interface
   hash of each import, in the order the module lists its imports.  Under it
-  the *report* entry holds the module's report and, when the report is
-  ``ok``, the module's interface hash and its *exports*: the name and
-  declaration key of each of its own declarations that checked, in order.
+  the *report* entry holds the module's report, with the notes of its
+  diagnostics that ``--json`` leaves out, and, when the report is ``ok``,
+  the module's interface hash and its *exports*: the name and declaration
+  key of each of its own declarations that checked, in order.
 * A **declaration key** (``declaration_key``) covers the version, the
   capacity, the module's name, path and ``--@tier``, the clash digest of
   its imports (below), the declaration's source text and, for each
@@ -56,12 +57,17 @@ neither the parser nor the kernel.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 from typing import Optional
 
 from . import __version__
 from .diagnostics import CheckReport, Diagnostic
+
+
+# numbers the writes of this process, for their temporary names
+_WRITES = itertools.count()
 
 
 def _digest(*parts: str) -> str:
@@ -152,6 +158,20 @@ def replay(record: dict, start: int, path: str) -> list[Diagnostic]:
             for severity, code, message, lo, hi in record["diagnostics"]]
 
 
+def _diagnostic(d: dict) -> Diagnostic:
+    """A diagnostic of a stored report; ValueError if a field has the wrong
+    type."""
+    span = d["span"]
+    text = (d["severity"], d["code"], d["message"], span["file"])
+    notes = [((lo, hi), note) for lo, hi, note in d["notes"]]
+    if not (all(type(t) is str for t in text)
+            and type(span["start"]) is type(span["end"]) is int
+            and all(type(lo) is type(hi) is int and type(note) is str
+                    for (lo, hi), note in notes)):
+        raise ValueError("a malformed diagnostic")
+    return Diagnostic(*text, (span["start"], span["end"]), notes)
+
+
 def _is_record(r: dict) -> bool:
     entry = r["entry"]
     return (type(r["queries"]) is int
@@ -189,7 +209,9 @@ class Cache:
         # pure-Python one
         text = json.dumps(data, sort_keys=True)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
+        # a temporary name of this write alone, so that two writers of one
+        # entry never replace each other's file
+        tmp = f"{path}.{os.getpid()}.{next(_WRITES)}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -221,20 +243,19 @@ class Cache:
             if data is None:
                 self.misses += 1
                 return None
+            stats = data["stats"]
             report = CheckReport(
                 module=data["module"],
                 status=data["status"],
-                declarations_checked=data["stats"]["declarations_checked"],
-                solver_queries=data["stats"]["solver_queries"],
+                diagnostics=[_diagnostic(d) for d in data["diagnostics"]],
+                declarations_checked=stats["declarations_checked"],
+                solver_queries=stats["solver_queries"],
             )
-            for d in data["diagnostics"]:
-                report.diagnostics.append(Diagnostic(
-                    severity=d["severity"],
-                    code=d["code"],
-                    message=d["message"],
-                    file=d["span"]["file"],
-                    span=(d["span"]["start"], d["span"]["end"]),
-                ))
+            if not (type(report.module) is str
+                    and report.status in ("ok", "failed")
+                    and type(report.declarations_checked) is int
+                    and type(report.solver_queries) is int):
+                raise ValueError("a malformed report")
             interface = exports = None
             if report.ok:
                 interface, exports = data["interface"], data["exports"]
@@ -251,6 +272,9 @@ class Cache:
     def store(self, key: str, report: CheckReport, interface: Optional[str],
               exports: Optional[list]) -> None:
         data = report.to_json()
+        # the notes are stored here only: `--json` output has none
+        for d, diagnostic in zip(data["diagnostics"], report.diagnostics):
+            d["notes"] = [[lo, hi, note] for (lo, hi), note in diagnostic.notes]
         if interface is not None:
             data["interface"] = interface
             data["exports"] = exports

@@ -4,19 +4,22 @@ Every Unicode operator has an ASCII fallback that lexes to the same token
 kind: `<=` for ≤, `/\\` `\\/` for ∧ ∨, `==` for ≡, `->` for →,
 `|->` for ↦, `\\` for λ, `*` for ×, `TOP`/`BOT` for ⊤/⊥.  Line comments
 start with `--`, block comments `{- -}` nest.  Identifiers admit primes and
-sub-/superscript digits so names can mirror mathematical usage.
+sub-/superscript digits so names can mirror mathematical usage; a universe
+is `U` and ASCII digits, so `U₁` is an identifier.  Each lexical rule is
+one alternative of the master pattern `_TOKEN`, tried in order; Python
+checks only the first character of a name and the nesting of comments.
 """
 
 from __future__ import annotations
 
+import re
 import unicodedata
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     span: tuple[int, int]
@@ -47,60 +50,63 @@ KEYWORDS = {
     "unitpt": "CUBE_STAR",
 }
 
-# multi-char operators first; longest match wins
-_OPERATORS = [
-    ("|->", "MAPSTO"),
-    (":=", "DEFEQ"),
-    ("->", "ARROW"),
-    ("<=", "TOPE_LEQ"),
-    ("==", "TOPE_EQ"),
-    ("/\\", "MEET"),
-    ("\\/", "JOIN"),
-    ("(", "LPAREN"),
-    (")", "RPAREN"),
-    ("{", "LBRACE"),
-    ("}", "RBRACE"),
-    ("<", "LANGLE"),
-    (">", "RANGLE"),
-    ("|", "BAR"),
-    (",", "COMMA"),
-    (":", "COLON"),
-    (";", "SEMI"),
-    (".", "DOT"),
-    ("*", "STAR"),
-    ("\\", "LAMBDA"),
-]
-
 _UNICODE_OPS = {
-    "λ": "LAMBDA",   # λ
-    "→": "ARROW",    # →
-    "≤": "TOPE_LEQ", # ≤
-    "≡": "TOPE_EQ",  # ≡
-    "∧": "MEET",     # ∧
-    "∨": "JOIN",     # ∨
-    "↦": "MAPSTO",   # ↦
-    "×": "STAR",     # ×
-    "⊤": "TOPE_TOP", # ⊤
-    "⊥": "TOPE_BOT", # ⊥
-    "Π": "PI",       # Π
-    "Σ": "SIGMA",    # Σ
+    "λ": "LAMBDA",
+    "→": "ARROW",
+    "≤": "TOPE_LEQ",
+    "≡": "TOPE_EQ",
+    "∧": "MEET",
+    "∨": "JOIN",
+    "↦": "MAPSTO",
+    "×": "STAR",
+    "⊤": "TOPE_TOP",
+    "⊥": "TOPE_BOT",
+    "Π": "PI",
+    "Σ": "SIGMA",
 }
 
-_NAME_EXTRA = set("_'′″‴∂")  # primes and ∂
-_SCRIPT_DIGITS = set("₀₁₂₃₄₅₆₇₈₉"
-                     "⁰¹²³⁴⁵⁶⁷⁸⁹")
+# multi-char operators first, so that the longest match wins
+_ASCII_OPS = {
+    "|->": "MAPSTO",
+    ":=": "DEFEQ",
+    "->": "ARROW",
+    "<=": "TOPE_LEQ",
+    "==": "TOPE_EQ",
+    "/\\": "MEET",
+    "\\/": "JOIN",
+    "(": "LPAREN",
+    ")": "RPAREN",
+    "{": "LBRACE",
+    "}": "RBRACE",
+    "<": "LANGLE",
+    ">": "RANGLE",
+    "|": "BAR",
+    ",": "COMMA",
+    ":": "COLON",
+    ";": "SEMI",
+    ".": "DOT",
+    "*": "STAR",
+    "\\": "LAMBDA",
+}
 
+# the kind of every token whose text fixes it
+_KINDS = {"0": "CUBE_ZERO", "1": "CUBE_ONE", **_UNICODE_OPS, **_ASCII_OPS}
 
-def _name_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_" or ch == "∂"
+# `\w` is `str.isalnum()` and `_`, which takes in the script digits; a name
+# ends before a Unicode operator, since λ, Π and Σ are letters
+_NAME_CHAR = r"[\w'′″‴∂]"
+_UNICODE = "[" + "".join(_UNICODE_OPS) + "]"
 
+_TOKEN = re.compile("|".join([
+    r"(?P<skip>[ \t\r\n]+|--[^\n]*)",
+    r"(?P<block>\{-)",
+    rf"(?P<cube>[01](?!{_NAME_CHAR}))",
+    rf"(?P<unicode>{_UNICODE})",
+    rf"(?P<name>(?:(?!{_UNICODE}){_NAME_CHAR})+)",
+    "(?P<ascii>" + "|".join(map(re.escape, _ASCII_OPS)) + ")",
+]))
 
-def _name_cont(ch: str) -> bool:
-    return (
-        ch.isalnum()
-        or ch in _NAME_EXTRA
-        or ch in _SCRIPT_DIGITS
-    )
+_UNIVERSE = re.compile("U[0-9]*")
 
 
 def tokenize(source: str, path: str = "<input>") -> list[Token]:
@@ -109,65 +115,51 @@ def tokenize(source: str, path: str = "<input>") -> list[Token]:
     Raises LexError on unterminated comments or illegal characters.
     """
     toks: list[Token] = []
+    match = _TOKEN.match
     i = 0
     n = len(source)
     while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if source.startswith("--", i):
-            j = source.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if source.startswith("{-", i):
-            depth = 1
-            j = i + 2
-            while j < n and depth > 0:
-                if source.startswith("{-", j):
-                    depth += 1
-                    j += 2
-                elif source.startswith("-}", j):
-                    depth -= 1
-                    j += 2
-                else:
-                    j += 1
-            if depth > 0:
-                raise LexError(Diagnostic(
-                    "error", "LEX", "unterminated block comment", path, (i, n)))
-            i = j
-            continue
-        if ch == "0" and not (i + 1 < n and _name_cont(source[i + 1])):
-            toks.append(Token("CUBE_ZERO", "0", (i, i + 1)))
-            i += 1
-            continue
-        if ch == "1" and not (i + 1 < n and _name_cont(source[i + 1])):
-            toks.append(Token("CUBE_ONE", "1", (i, i + 1)))
-            i += 1
-            continue
-        if ch in _UNICODE_OPS:
-            toks.append(Token(_UNICODE_OPS[ch], ch, (i, i + 1)))
-            i += 1
-            continue
-        if _name_start(ch):
-            j = i + 1
-            while j < n and _name_cont(source[j]) and source[j] not in _UNICODE_OPS:
-                j += 1
-            text = source[i:j]
-            if text == "U" or (text[0] == "U" and text[1:].isdigit()):
-                toks.append(Token("UNIVERSE", text, (i, j)))
-            else:
-                toks.append(Token(KEYWORDS.get(text, "IDENT"), text, (i, j)))
-            i = j
-            continue
-        for text, kind in _OPERATORS:
-            if source.startswith(text, i):
-                toks.append(Token(kind, text, (i, i + len(text))))
-                i += len(text)
-                break
-        else:
+        m = match(source, i)
+        group = m and m.lastgroup
+        if group == "skip":
+            i = m.end()
+        elif group == "block":
+            i = _block_comment_end(source, i, path)
+        elif group is None or (group == "name" and not (
+                source[i].isalpha() or source[i] in "_∂")):
+            ch = source[i]
             name = unicodedata.name(ch, hex(ord(ch)))
             raise LexError(Diagnostic(
                 "error", "LEX", f"illegal character {ch!r} ({name})", path, (i, i + 1)))
+        else:
+            text = m.group()
+            if group != "name":
+                kind = _KINDS[text]
+            elif _UNIVERSE.fullmatch(text):
+                kind = "UNIVERSE"
+            else:
+                kind = KEYWORDS.get(text, "IDENT")
+            j = m.end()
+            toks.append(Token(kind, text, (i, j)))
+            i = j
     toks.append(Token("EOF", "", (n, n)))
     return toks
+
+
+def _block_comment_end(source: str, i: int, path: str) -> int:
+    """The offset just past the block comment that opens at ``i``, in which
+    `{- -}` pairs nest.  Each mark is searched for once, so the scan is
+    linear however deep the nesting."""
+    depth, j, closes = 1, i + 2, -1
+    while depth:
+        if closes < j:
+            closes = source.find("-}", j)
+            if closes < 0:
+                raise LexError(Diagnostic(
+                    "error", "LEX", "unterminated block comment", path, (i, len(source))))
+        opens = source.find("{-", j, closes + 1)  # `{-}` opens
+        if opens < 0:
+            depth, j = depth - 1, closes + 2
+        else:
+            depth, j = depth + 1, opens + 2
+    return j

@@ -6,9 +6,13 @@ run reports many errors.  Every AST node is registered in the module's
 span table.
 
 Operator precedence, loosest to tightest:
-    `->` (right)  <  `*` (right)  <  `\\/`  <  `/\\`  <  application.
-Relation operands inside topes are atoms; compound cube terms there take
-parentheses.
+    terms:  `->` (right)  <  `*` (right)  <  `\\/`  <  `/\\`  <  application;
+    topes:  `\\/`  <  `/\\`  <  relations.
+`->` keeps its own rule, since binder groups may stand before it.  Every
+other binary operator is one row of `_TERM_OPERATORS` or `_TOPE_OPERATORS`,
+which `Parser.binary` reads by precedence climbing (Pratt, "Top down
+operator precedence", POPL 1973).  Relation operands inside topes are
+atoms; compound cube terms there take parentheses.
 """
 
 from __future__ import annotations
@@ -30,6 +34,26 @@ _DIRECTIVE_RE = re.compile(r"^\s*--@(\w+)\s*(.*?)\s*$", re.MULTILINE)
 
 _SYNC_KINDS = {"DEF", "POSTULATE", "IMPORT", "EOF"}
 
+# the most digits a universe level may have: the kernel prints levels, and
+# Python converts at most 4,300 digits between int and str
+MAX_LEVEL_DIGITS = 100
+
+# binary operators by token kind: (precedence, right associative, node),
+# a higher precedence binding tighter
+_TERM_OPERATORS = {
+    "STAR": (0, True, lambda left, right: Sigma("_", left, right)),
+    "JOIN": (1, False, Join),
+    "MEET": (2, False, Meet),
+}
+_TOPE_OPERATORS = {"JOIN": (0, False, TopeOr), "MEET": (1, False, TopeAnd)}
+
+# atoms that are a keyword and a fixed number of atom arguments
+_PREFIX_ATOMS = {
+    "CUBE_ZERO": (Cube0, 0), "CUBE_ONE": (Cube1, 0), "CUBE_STAR": (CubeStar, 0),
+    "RECBOT": (RecBot, 0), "FST": (Fst, 1), "SND": (Snd, 1), "REFL": (Refl, 1),
+    "ID": (IdType, 3), "IDJ": (JElim, 3),
+}
+
 
 class ParseError(Exception):
     def __init__(self, diagnostic: Diagnostic):
@@ -50,17 +74,19 @@ class Parser:
     def peek(self, ahead: int = 0) -> Token:
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
 
+    # `EOF` is the last token and `next` never moves past it, so `pos`
+    # always indexes a token
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.toks[self.pos]
         if tok.kind != "EOF":
             self.pos += 1
         return tok
 
     def at(self, *kinds: str) -> bool:
-        return self.peek().kind in kinds
+        return self.toks[self.pos].kind in kinds
 
     def expect(self, kind: str, what: Optional[str] = None) -> Token:
-        tok = self.peek()
+        tok = self.toks[self.pos]
         if tok.kind != kind:
             raise self.error(f"expected {what or kind}", {kind})
         return self.next()
@@ -79,16 +105,22 @@ class Parser:
         self.module.spanned.append(node)
         return node
 
-    # -- cube sorts ----------------------------------------------------------
+    def binary(self, operators: dict, operand, loosest: int = 0):
+        """Operands read by ``operand``, joined by the operators of
+        ``operators`` whose precedence is at least ``loosest``."""
+        start = self.pos
+        left = operand()
+        while True:
+            row = operators.get(self.toks[self.pos].kind)
+            if row is None or row[0] < loosest:
+                return left
+            precedence, right_assoc, node = row
+            self.pos += 1
+            right = self.binary(operators, operand,
+                                precedence if right_assoc else precedence + 1)
+            left = self.spanned(node(left, right), start)
 
-    def try_cube_sort(self) -> Optional[CubeSort]:
-        """Backtracking parse of a cube sort (I, 1 and products)."""
-        save = self.pos
-        try:
-            return self.cube_sort()
-        except ParseError:
-            self.pos = save
-            return None
+    # -- cube sorts ----------------------------------------------------------
 
     def cube_sort(self) -> CubeSort:
         left = self.cube_sort_atom()
@@ -114,22 +146,7 @@ class Parser:
     # -- topes ---------------------------------------------------------------
 
     def tope(self) -> Tope:
-        start = self.pos
-        left = self.tope_and()
-        while self.at("JOIN"):
-            self.next()
-            right = self.tope_and()
-            left = self.spanned(TopeOr(left, right), start)
-        return left
-
-    def tope_and(self) -> Tope:
-        start = self.pos
-        left = self.tope_atom()
-        while self.at("MEET"):
-            self.next()
-            right = self.tope_atom()
-            left = self.spanned(TopeAnd(left, right), start)
-        return left
+        return self.binary(_TOPE_OPERATORS, self.tope_atom)
 
     def tope_atom(self) -> Tope:
         start = self.pos
@@ -177,7 +194,7 @@ class Parser:
                 for name in reversed(names):
                     body = self.spanned(Pi(name, dom, body), start)
             return body
-        left = self.prod()
+        left = self.binary(_TERM_OPERATORS, self.app_chain)
         if self.at("ARROW"):
             self.next()
             right = self.arrow()
@@ -208,39 +225,18 @@ class Parser:
         Only sorts mentioning I are unambiguous here; unit-only cubes (`1`,
         `1 * 1`) read as terms and bind through a brace shape instead."""
         start = self.pos
-        sort = self.try_cube_sort()
-        if sort is not None and self.at("RPAREN") and _mentions_interval(sort):
-            x = fresh_name("t")
-            return self.spanned(ShapeTy(x, sort, TopeTop()), start)
-        self.pos = start
+        # a cube sort starts with one of these: trying only then spares the
+        # ParseError of a failed try on every other domain
+        if self.at("CUBE_I", "CUBE_ONE", "LPAREN"):
+            try:
+                sort = self.cube_sort()
+                if self.at("RPAREN") and _mentions_interval(sort):
+                    x = fresh_name("t")
+                    return self.spanned(ShapeTy(x, sort, TopeTop()), start)
+            except ParseError:
+                pass
+            self.pos = start
         return self.term()
-
-    def prod(self) -> Term:
-        start = self.pos
-        left = self.join_term()
-        if self.at("STAR"):
-            self.next()
-            right = self.prod()
-            return self.spanned(Sigma("_", left, right), start)
-        return left
-
-    def join_term(self) -> Term:
-        start = self.pos
-        left = self.meet_term()
-        while self.at("JOIN"):
-            self.next()
-            right = self.meet_term()
-            left = self.spanned(Join(left, right), start)
-        return left
-
-    def meet_term(self) -> Term:
-        start = self.pos
-        left = self.app_chain()
-        while self.at("MEET"):
-            self.next()
-            right = self.app_chain()
-            left = self.spanned(Meet(left, right), start)
-        return left
 
     def app_chain(self) -> Term:
         start = self.pos
@@ -249,7 +245,8 @@ class Parser:
         if self.at("SIGMA"):
             return self.sigma()
         head = self.atom()
-        while self._atom_ahead():
+        # `{` only opens a shape here; `{-` comments were dropped by the lexer
+        while self.toks[self.pos].kind in self._ATOM_STARTS:
             arg = self.atom()
             head = self.spanned(App(head, arg), start)
         return head
@@ -259,12 +256,6 @@ class Parser:
         "LBRACE", "LANGLE", "FST", "SND", "REFL", "ID", "IDJ", "RECOR",
         "RECBOT",
     }
-
-    def _atom_ahead(self) -> bool:
-        if not self.at(*self._ATOM_STARTS):
-            return False
-        # `{` only opens a shape here; `{-` comments were dropped by the lexer
-        return True
 
     def lam(self) -> Term:
         start = self.pos
@@ -290,48 +281,22 @@ class Parser:
 
     def atom(self) -> Term:
         start = self.pos
-        tok = self.peek()
+        tok = self.toks[self.pos]
+        if tok.kind in _PREFIX_ATOMS:
+            node, arity = _PREFIX_ATOMS[tok.kind]
+            self.pos += 1
+            return self.spanned(node(*[self.atom() for _ in range(arity)]), start)
         match tok.kind:
             case "IDENT":
                 self.next()
                 return self.spanned(Var(tok.text), start)
-            case "CUBE_ZERO":
-                self.next()
-                return self.spanned(Cube0(), start)
-            case "CUBE_ONE":
-                self.next()
-                return self.spanned(Cube1(), start)
-            case "CUBE_STAR":
-                self.next()
-                return self.spanned(CubeStar(), start)
             case "UNIVERSE":
+                if len(tok.text) > 1 + MAX_LEVEL_DIGITS:
+                    raise ParseError(Diagnostic(
+                        "error", "PARSE", "universe level too large", self.path,
+                        tok.span))
                 self.next()
-                level = int(tok.text[1:]) if len(tok.text) > 1 else 0
-                return self.spanned(Universe(level), start)
-            case "FST":
-                self.next()
-                return self.spanned(Fst(self.atom()), start)
-            case "SND":
-                self.next()
-                return self.spanned(Snd(self.atom()), start)
-            case "REFL":
-                self.next()
-                return self.spanned(Refl(self.atom()), start)
-            case "ID":
-                self.next()
-                amb = self.atom()
-                lhs = self.atom()
-                rhs = self.atom()
-                return self.spanned(IdType(amb, lhs, rhs), start)
-            case "IDJ":
-                self.next()
-                motive = self.atom()
-                base = self.atom()
-                path = self.atom()
-                return self.spanned(JElim(motive, base, path), start)
-            case "RECBOT":
-                self.next()
-                return self.spanned(RecBot(), start)
+                return self.spanned(Universe(int(tok.text[1:] or "0")), start)
             case "RECOR":
                 self.next()
                 return self.rec_or(start)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS, NEGATIVE, REPO
+from fuzz_edits import EDITS, edited, token_units
 from stt.syntax import allow_deep_recursion
 
 GOLDEN_STT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden_eq.stt")
@@ -70,53 +71,17 @@ WELL_TYPED = (
 EDIT_TRIALS = 20
 
 
-def _token_units(path: str):
-    """The source at ``path`` as a list of its tokens, each with the text
-    between it and the token before it, and the text after the last."""
-    from stt.lexer import tokenize
-
-    with open(path, encoding="utf-8") as fh:
-        source = fh.read()
-    units, end = [], 0
-    for tok in tokenize(source, path):
-        start, stop = tok.span
-        units.append((source[end:start], source[start:stop]))
-        end = stop
-    return units, source[end:]
-
-
 # `main` raises the recursion limit; raising it before any fuzz example
 # runs keeps Hypothesis from warning that it stays raised
 allow_deep_recursion()
 # small corpus modules that import nothing, as token lists
-FUZZ_SEEDS = [_token_units(os.path.join(CORPUS, name))
+FUZZ_SEEDS = [token_units(os.path.join(CORPUS, name))
               for name in ("shapes.stt", "prelude.stt")]
-
-
-def _edited(seed, edits) -> bytes:
-    """A seed module after token deletions, duplications and swaps; each
-    edit is ``(kind, i, j)``, with ``i`` and ``j`` taken modulo the number
-    of tokens."""
-    units, tail = seed
-    units = list(units)
-    for kind, i, j in edits:
-        i, j = i % len(units), j % len(units)
-        if kind == "delete" and len(units) > 1:
-            del units[i]
-        elif kind == "duplicate":
-            units.insert(i + 1, units[i])
-        elif kind == "swap":
-            (gap_i, tok_i), (gap_j, tok_j) = units[i], units[j]
-            units[i], units[j] = (gap_i, tok_j), (gap_j, tok_i)
-    return ("".join(gap + tok for gap, tok in units) + tail).encode("utf-8")
-
 
 FUZZ_SOURCES = st.one_of(
     st.binary(max_size=300),
-    st.builds(_edited, st.sampled_from(FUZZ_SEEDS), st.lists(
-        st.tuples(st.sampled_from(["delete", "duplicate", "swap"]),
-                  st.integers(0, 10**6), st.integers(0, 10**6)),
-        min_size=1, max_size=4)),
+    st.builds(lambda seed, edits: edited(seed, edits).encode("utf-8"),
+              st.sampled_from(FUZZ_SEEDS), EDITS),
 )
 
 
@@ -217,6 +182,23 @@ class TestRobustness:
         else:
             assert "deep.stt:1:1: error[CHECK]: in 'x': nesting too deep to check" in proc.stdout
             assert proc.stdout.endswith("deep: failed (1 declarations, 1 solver queries)\n")
+
+    @pytest.mark.parametrize("universe", ["U₁", "U1²", "U" + "7" * 5000],
+                             ids=["subscript", "superscript", "5000-digits"])
+    def test_universe_literals_end_in_diagnostics(self, run_cli, tmp_path, universe):
+        """`U₁` and `U1²` are identifiers, and a level of more than
+        `MAX_LEVEL_DIGITS` digits is a parse error at the literal."""
+        f = write(tmp_path, "m.stt", f"def a : {universe} := U;\n")
+        for flags in ([], ["--json"]):
+            code, out, err = run_cli(f, *flags)
+            assert (code, err) == (1, "")
+            assert "INTERNAL" not in out
+        (diag,) = json.loads(out)["diagnostics"]
+        if len(universe) > 3:
+            assert (diag["code"], diag["message"]) == ("PARSE", "universe level too large")
+            assert (diag["span"]["start"], diag["span"]["end"]) == (8, 8 + len(universe))
+        else:
+            assert diag["message"] == f"in 'a': unknown identifier {universe!r}"
 
     def test_parser_alone_parses_deep_nesting(self):
         proc = run_python("-c", (
@@ -485,6 +467,59 @@ class TestCache:
         code, out, err = run_cli(f, cache_dir=cache)
         assert code == 0
         assert "corrupt" in err
+
+    DUPLICATE = "def a : U1 := U;\ndef a : U1 := U;\n"
+
+    def test_a_cached_report_keeps_its_notes(self, run_cli, tmp_path):
+        f = write(tmp_path, "m.stt", self.DUPLICATE)
+        cache = tmp_path / "cache"
+        fresh = run_cli(f)
+        assert "note (" in fresh[1]
+        assert run_cli(f, cache_dir=cache) == fresh
+        assert run_cli(f, cache_dir=cache) == fresh
+        assert run_cli(f, "--json", cache_dir=cache) == run_cli(f, "--json")
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: r["diagnostics"][0]["span"].update(start="x"),
+        lambda r: r["diagnostics"][0].update(severity=5),
+        lambda r: r["diagnostics"][0]["span"].update(file=None),
+        lambda r: r.update(module=7),
+    ], ids=["start", "severity", "file", "module"])
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json"])
+    def test_a_mistyped_report_is_a_corrupt_miss(self, run_cli, tmp_path, edit, flags):
+        f = write(tmp_path, "m.stt", self.DUPLICATE)
+        cache = tmp_path / "cache"
+        run_cli(f, *flags, cache_dir=cache)
+        (report,) = [p for p in cache.rglob("*.json")
+                     if not p.name.endswith((".imports.json", ".records.json"))]
+        data = json.loads(report.read_text())
+        edit(data)
+        report.write_text(json.dumps(data))
+        code, out, err = run_cli(f, *flags, cache_dir=cache)
+        assert err == "warning: corrupt cache entry for m; rechecking\n"
+        assert (code, out) == run_cli(f, *flags)[:2]
+
+    def test_two_writers_of_one_entry_do_not_share_a_temporary_file(
+            self, tmp_path, monkeypatch):
+        """A second write of the same entry runs between the first write and
+        its rename; both must succeed and leave one whole document."""
+        import stt.cache
+
+        cache = stt.cache.Cache(str(tmp_path), 8)
+        path = str(tmp_path / "ab" / "entry.json")
+        replace = os.replace
+        second = {"writer": 2, "padding": "x" * 10_000}
+
+        def interleaved(src, dst):
+            monkeypatch.setattr(stt.cache.os, "replace", replace)
+            cache._write(path, second)
+            replace(src, dst)
+
+        monkeypatch.setattr(stt.cache.os, "replace", interleaved)
+        cache._write(path, {"writer": 1})
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh) == {"writer": 1}
+        assert os.listdir(tmp_path / "ab") == ["entry.json"]
 
     def test_same_bytes_in_two_modules_do_not_share_an_entry(self, run_cli, tmp_path):
         a = write(tmp_path, "a.stt", "def x : U1 := U;\n")

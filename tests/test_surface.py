@@ -1,5 +1,7 @@
 """Lexer, parser and printer: tokens, recovery, spans, round trips."""
 
+import glob
+import json
 import os
 import subprocess
 import sys
@@ -7,7 +9,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CORPUS, REPO
+import lexer_oracle
+from conftest import CORPUS, DATA, REPO
+from fuzz_edits import EDITS, edited, token_units
 from stt.lexer import LexError, tokenize
 from stt.parser import parse_module, parse_term
 from stt.printer import print_term
@@ -69,6 +73,91 @@ class TestTokenize:
     def test_determinism(self):
         src = open(os.path.join(CORPUS, "hom.stt")).read()
         assert tokenize(src) == tokenize(src)
+
+    def test_a_universe_takes_ascii_digits_only(self):
+        toks = tokenize("U U0 U12 U₁ U1² U١ Ux")[:-1]
+        assert [t.kind for t in toks] == ["UNIVERSE"] * 3 + ["IDENT"] * 4
+
+    @pytest.mark.parametrize("src", ["x 2", "x ²", "x 0a", "x Ⅻ", "x ١"])
+    def test_a_name_starts_with_a_letter_underscore_or_partial(self, src):
+        with pytest.raises(LexError) as e:
+            tokenize(src)
+        assert e.value.diagnostic.span == (2, 3)
+        assert e.value.diagnostic.message.startswith(f"illegal character {src[2]!r}")
+
+
+def _lexed(lex, source: str):
+    """The tokens of ``source`` as ``(kind, text, span)``, or the message and
+    span of its lex error."""
+    try:
+        return [(t.kind, t.text, t.span) for t in lex(source, "m.stt")]
+    except (LexError, lexer_oracle.LexError) as e:
+        return e.diagnostic.message, e.diagnostic.span
+
+
+# a piece of each token class, and characters each class must not take in
+LEX_PIECES = [
+    *"λΠΣ→≤≡∧∨↦×⊤⊥", *"'′″‴∂", *"₀²¹", "U", "1", "0", "U1", "--", "{-", "-}",
+    "|->", *"\t\r\x0b\n ", "Ⅻ", "١", *"abIx_", *"(){}<>|,:;.*\\/=-?",
+    "def", "fst", "TOP",
+]
+MODULES = sorted(glob.glob(os.path.join(CORPUS, "*.stt"))) + sorted(
+    glob.glob(os.path.join(DATA, "**", "*.stt"), recursive=True))
+LEX_SEEDS = [token_units(path) for path in MODULES
+             if not os.path.basename(path).startswith("lex_")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_lexer_agrees_with_the_oracle_on_every_module(path):
+    with open(path, encoding="utf-8") as fh:
+        source = fh.read()
+    assert _lexed(tokenize, source) == _lexed(lexer_oracle.tokenize, source)
+
+
+@pytest.mark.parametrize("source", [
+    "{-" * 20_000 + "-}" * 20_000, "{-" * 20_000 + "-}" * 19_999,
+    "{-}-}", "{-}", "{--}x", "{-{-}-} y", "a{-b-}c--d\ne",
+], ids=["deep", "deep-unterminated", "open-close", "open-only", "dashes",
+        "nested", "mixed"])
+def test_lexer_agrees_with_the_oracle_on_comments(source):
+    assert _lexed(tokenize, source) == _lexed(lexer_oracle.tokenize, source)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(LEX_PIECES), max_size=30).map("".join),
+    st.text(max_size=30),
+    st.builds(edited, st.sampled_from(LEX_SEEDS), EDITS),
+))
+def test_lexer_agrees_with_the_oracle(source):
+    assert _lexed(tokenize, source) == _lexed(lexer_oracle.tokenize, source)
+
+
+def _parse_pin(path: str) -> dict:
+    """The spans a parse of the module at ``path`` gives: each span-table
+    entry as ``start, end`` by node class, sorted, and each declaration's
+    name, span, name span and identifiers."""
+    with open(path, encoding="utf-8") as fh:
+        mod, _ = parse_module(fh.read(), path)
+    nodes = {id(n): n for n in mod.spanned}
+    spans = {}
+    for cls, start, end in sorted((type(nodes[k]).__name__, *span)
+                                  for k, span in mod.span_table.items()):
+        spans.setdefault(cls, []).extend((start, end))
+    return {"spans": spans, "declarations": [
+        [d.name, list(d.span), list(d.name_span), list(d.idents)]
+        for d in mod.declarations]}
+
+
+def test_spans_match_the_pinned_parse():
+    """`data/parse_spans.json` holds `_parse_pin` of every corpus and test
+    module, as the parser with one function per operator level gave it."""
+    with open(os.path.join(DATA, "parse_spans.json"), encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    relative = [os.path.relpath(path, REPO).replace(os.sep, "/") for path in MODULES]
+    assert sorted(pinned) == sorted(relative)
+    for rel in relative:
+        assert _parse_pin(os.path.join(REPO, rel)) == pinned[rel], rel
 
 
 class TestParse:
