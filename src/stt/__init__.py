@@ -1,3 +1,3 @@
 """A proof checker for a simplicial dependent type theory."""
 
-__version__ = "0.5.0"
+__version__ = "0.5.1"

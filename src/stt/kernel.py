@@ -25,22 +25,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, TypeVar
 
 from . import topes
 from .diagnostics import CheckReport, Diagnostic
-from .printer import print_term, print_tope
+from .printer import print_sort, print_term, print_tope
 from .syntax import (
-    App, Cube0, Cube1, CubeSort, CubeStar, Declaration, Extension, Fst,
-    IdType, Interval, JElim, Join, Lam, Meet, Pair, Pi, RecBot, RecOr, Refl,
-    ShapeTy, Sigma, Snd, SourceModule, Term, Tope, TopeAnd, TopeBinder,
-    TopeBot, TopeOr, TopeTop, TypedBinder, Universe, Var, allow_deep_recursion,
-    alpha_eq, decode_term, encode_term, free_vars, fresh_name, subst,
-    subst_many,
+    BOT, INTERVAL, TOP, UNIT_CUBE, App, Cube0, Cube1, CubeSort, CubeStar,
+    Declaration, Extension, Fst, IdType, JElim, Join, Lam, Meet, Pair, Pi,
+    RecBot, RecOr, Refl, ShapeTy, Sigma, Snd, SourceModule, Term, Tope,
+    TopeAnd, TopeBinder, TopeBot, TopeEq, TopeLeq, TopeOr, TypedBinder,
+    Universe, Var, allow_deep_recursion, alpha_eq, decode_term, encode_term,
+    free_vars, fresh_name, subst, subst_many,
 )
 
-BOT = TopeBot()
-TOP = TopeTop()
+T = TypeVar("T")
 
 
 class KernelError(Exception):
@@ -255,32 +254,33 @@ class Checker:
 
     # -- solver bridge ---------------------------------------------------------
 
+    def solve(self, query: Callable[[], T]) -> T:
+        """The answer to a solver query; a query the solver refuses is a
+        KernelError of the refusal's code at the current span."""
+        try:
+            return query()
+        except topes.TopeError as e:
+            raise KernelError(e.code, str(e), self.current_span())
+
     def entails(self, ctx: Ctx, hyps: Tope, goal: Tope) -> bool:
         self.queries += 1
-        try:
-            return self.solver.entails(ctx.cube_context(), hyps, goal)
-        except topes.SortError as e:
-            raise KernelError("SORT", str(e), self.current_span())
-        except topes.CapacityError as e:
-            raise KernelError("CAPACITY", str(e), self.current_span())
+        return self.solve(lambda: self.solver.entails(ctx.cube_context(), hyps, goal))
 
     def inconsistent(self, ctx: Ctx) -> bool:
         return self.entails(ctx, ctx.hyps(), BOT)
 
     def cube_equal(self, ctx: Ctx, a: Term, b: Term) -> bool:
-        self.queries += 1
-        try:
-            return self.solver.cube_equal(ctx.cube_context(), ctx.hyps(), a, b)
-        except topes.SortError as e:
-            raise KernelError("SORT", str(e), self.current_span())
-        except topes.CapacityError as e:
-            raise KernelError("CAPACITY", str(e), self.current_span())
+        return self.entails(ctx, ctx.hyps(), TopeEq(a, b))
 
     def check_sorted(self, ctx: Ctx, tope: Tope) -> None:
-        try:
-            self.solver.flattener(ctx.cube_context()).formula(tope)
-        except topes.SortError as e:
-            raise KernelError("SORT", str(e), self.current_span())
+        self.solve(lambda: self.solver.flattener(ctx.cube_context()).formula(tope))
+
+    def expect_sort(self, ctx: Ctx, t: Term, sort: CubeSort, what: str) -> None:
+        """A SORT error naming ``what`` unless the cube term t has ``sort``."""
+        got = self.solve(lambda: self.solver.flattener(ctx.cube_context()).sort_of(t))
+        if got != sort:
+            raise self.fail(
+                "SORT", f"{what} has sort {print_sort(got)}, expected {print_sort(sort)}")
 
     # -- cube reading -----------------------------------------------------------
 
@@ -309,12 +309,6 @@ class Checker:
         raise KernelError(
             "SORT", f"expected a cube term, found {print_term(t)}", self.current_span())
 
-    def cube_sort_of(self, ctx: Ctx, t: Term) -> CubeSort:
-        try:
-            return self.solver.flattener(ctx.cube_context()).sort_of(t)
-        except topes.SortError as e:
-            raise KernelError("SORT", str(e), self.current_span())
-
     def read_tope(self, ctx: Ctx, tope: Tope) -> Tope:
         """Normalize the cube terms inside a tope (unfolding definitions)."""
         match tope:
@@ -322,10 +316,10 @@ class Checker:
                 return TopeAnd(self.read_tope(ctx, l), self.read_tope(ctx, r))
             case TopeOr(l, r):
                 return TopeOr(self.read_tope(ctx, l), self.read_tope(ctx, r))
-            case topes.TopeEq(l, r):
-                return topes.TopeEq(self.read_cube(ctx, l), self.read_cube(ctx, r))
-            case topes.TopeLeq(l, r):
-                return topes.TopeLeq(self.read_cube(ctx, l), self.read_cube(ctx, r))
+            case TopeEq(l, r):
+                return TopeEq(self.read_cube(ctx, l), self.read_cube(ctx, r))
+            case TopeLeq(l, r):
+                return TopeLeq(self.read_cube(ctx, l), self.read_cube(ctx, r))
         return tope
 
     # -- shapes ------------------------------------------------------------------
@@ -573,7 +567,7 @@ class Checker:
             case Refl(a1), Refl(a2):
                 return self.def_equal(ctx, None, a1, a2)
             case ShapeTy(x, s1, t1), ShapeTy(y, s2, t2):
-                if topes._sort_key(s1) != topes._sort_key(s2):
+                if s1 != s2:
                     return False
                 x2, [t1b] = self.open_binder(ctx, x, [t1])
                 t2b = subst(t2, y, Var(x2))
@@ -582,7 +576,7 @@ class Checker:
             case Extension(x, d1, p1, f1, a1), Extension(y, d2, p2, f2, a2):
                 sh1 = self.resolve_shape(ctx, d1)
                 sh2 = self.resolve_shape(ctx, d2)
-                if topes._sort_key(sh1.sort) != topes._sort_key(sh2.sort):
+                if sh1.sort != sh2.sort:
                     return False
                 x2, [p1b, f1b, a1b] = self.open_binder(ctx, x, [p1, f1, a1])
                 p2b, f2b, a2b = (subst(p, y, Var(x2)) for p in (p2, f2, a2))
@@ -738,18 +732,13 @@ class Checker:
                     case Extension(x, dom, _, fam, _):
                         sh = self.resolve_shape(ctx, dom)
                         ca = self.read_cube(ctx, a)
-                        got = self.cube_sort_of(ctx, ca)
-                        if topes._sort_key(got) != topes._sort_key(sh.sort):
-                            raise self.fail(
-                                "SORT",
-                                f"cube argument has sort {got}, expected {sh.sort}")
+                        self.expect_sort(ctx, ca, sh.sort, "cube argument")
                         tope = self.read_tope(ctx, subst(sh.tope, sh.binder, ca))
                         if not self.entails(ctx, ctx.hyps(), tope):
                             raise self.fail(
                                 "CHECK",
                                 f"cube argument {print_term(ca)} is not inside the "
-                                f"shape {{{sh.binder} : {topes._sort_key(sh.sort)} | "
-                                f"{print_tope(sh.tope)}}}")
+                                f"shape {print_term(sh)}")
                         return subst(fam, x, a)
                 raise self.fail(
                     "INFER", f"cannot apply a term of type {print_term(fty)}")
@@ -814,15 +803,12 @@ class Checker:
             case RecBot():
                 raise self.fail("INFER", "recBOT is checked against a type")
             case Cube0() | Cube1():
-                return ShapeTy(fresh_name("t"), Interval(), TOP)
+                return ShapeTy(fresh_name("t"), INTERVAL, TOP)
             case CubeStar():
-                return ShapeTy(fresh_name("t"), topes.UnitCube(), TOP)
+                return ShapeTy(fresh_name("t"), UNIT_CUBE, TOP)
             case Meet(_, _) | Join(_, _):
-                ca = self.read_cube(ctx, t)
-                got = self.cube_sort_of(ctx, ca)
-                if topes._sort_key(got) != "I":
-                    raise self.fail("SORT", "connections apply to interval terms only")
-                return ShapeTy(fresh_name("t"), Interval(), TOP)
+                self.expect_sort(ctx, self.read_cube(ctx, t), INTERVAL, "cube term")
+                return ShapeTy(fresh_name("t"), INTERVAL, TOP)
         raise self.fail("INFER", f"no inference rule for {type(t).__name__}")
 
     def check(self, ctx: Ctx, t: Term, ty: Term) -> None:
@@ -898,10 +884,7 @@ class Checker:
                     "CHECK", f"pair checked against {print_term(tyw)}")
             case _, ShapeTy(y, sort, tope):
                 ca = self.read_cube(ctx, t)
-                got = self.cube_sort_of(ctx, ca)
-                if topes._sort_key(got) != topes._sort_key(sort):
-                    raise self.fail(
-                        "SORT", f"cube term has sort {got}, expected {sort}")
+                self.expect_sort(ctx, ca, sort, "cube term")
                 rtope = self.read_tope(ctx, subst(tope, y, ca))
                 if not self.entails(ctx, ctx.hyps(), rtope):
                     raise self.fail(

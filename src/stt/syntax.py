@@ -34,23 +34,18 @@ from typing import Optional, Union, get_args
 
 @dataclass(frozen=True)
 class Interval:
-    def __str__(self) -> str:
-        return "I"
+    """The interval sort ``I``."""
 
 
 @dataclass(frozen=True)
 class UnitCube:
-    def __str__(self) -> str:
-        return "1"
+    """The unit cube sort ``1``."""
 
 
 @dataclass(frozen=True)
 class ProdCube:
     left: "CubeSort"
     right: "CubeSort"
-
-    def __str__(self) -> str:
-        return f"{self.left} * {self.right}"
 
 
 CubeSort = Union[Interval, UnitCube, ProdCube]

@@ -8,7 +8,10 @@ Connections evaluate as min/max, ``==`` and ``<=`` through the ordering.
 
 Product cubes are flattened to tuples of interval atoms before solving;
 projections compute away on pair literals and otherwise select component
-atoms of a variable.
+atoms of a variable.  The flattener is the one place that decides cube
+sorts: the sort of a cube term is the shape of its value tree (a pair is
+a product, the unit point is ``1``, anything else is ``I``), flattening
+raises every ``SortError``, and it sort-checks both sides of ``==``.
 
 No ordering is enumerated.  ``hyps`` and the negation of ``goal`` are put
 in negation normal form over order literals ``p <= q`` and ``p < q``
@@ -37,18 +40,29 @@ from math import comb
 from typing import Callable, Optional
 
 from .syntax import (
-    CubeSort, Cube0, Cube1, CubeStar, Fst, Interval, Join, Meet, Pair,
-    ProdCube, Snd, Tope, TopeAnd, TopeBot, TopeEq, TopeLeq, TopeOr, TopeTop,
-    Term, UnitCube, Var,
+    INTERVAL, UNIT_CUBE, CubeSort, Cube0, Cube1, CubeStar, Fst, Interval,
+    Join, Meet, Pair, ProdCube, Snd, Tope, TopeAnd, TopeBot, TopeEq, TopeLeq,
+    TopeOr, TopeTop, Term, UnitCube, Var,
 )
 
 
-class SortError(Exception):
+class TopeError(Exception):
+    """A query the solver refuses; ``code`` is the diagnostic code it is
+    reported under."""
+
+    code: str
+
+
+class SortError(TopeError):
     """A cube term or tope is ill-sorted in its cube context."""
 
+    code = "SORT"
 
-class CapacityError(Exception):
+
+class CapacityError(TopeError):
     """The flattened query exceeds the configured interval-variable bound."""
+
+    code = "CAPACITY"
 
 
 # ---------------------------------------------------------------------------
@@ -76,42 +90,14 @@ class _Flattener:
     def __init__(self, ctx: tuple[tuple[str, CubeSort], ...]):
         self.atoms: list[str] = []
         self.env: dict[str, tuple] = {}
-        self.sorts: dict[str, CubeSort] = {}
         for name, sort in ctx:
             if name in self.env:
                 raise SortError(f"duplicate cube variable {name}")
             self.env[name] = _atoms_of_sort(name, sort, self.atoms)
-            self.sorts[name] = sort
 
     def sort_of(self, t: Term) -> CubeSort:
-        match t:
-            case Var(n):
-                if n not in self.sorts:
-                    raise SortError(f"unbound cube variable {n}")
-                return self.sorts[n]
-            case Cube0() | Cube1():
-                return Interval()
-            case CubeStar():
-                return UnitCube()
-            case Meet(a, b) | Join(a, b):
-                if isinstance(self.sort_of(a), Interval) and isinstance(
-                    self.sort_of(b), Interval
-                ):
-                    return Interval()
-                raise SortError("connections apply to interval terms only")
-            case Pair(a, b):
-                return ProdCube(self.sort_of(a), self.sort_of(b))
-            case Fst(p):
-                s = self.sort_of(p)
-                if isinstance(s, ProdCube):
-                    return s.left
-                raise SortError("fst applied to a non-product cube term")
-            case Snd(p):
-                s = self.sort_of(p)
-                if isinstance(s, ProdCube):
-                    return s.right
-                raise SortError("snd applied to a non-product cube term")
-        raise SortError(f"not a cube term: {type(t).__name__}")
+        """The sort of a cube term: the shape of its value tree."""
+        return _tree_sort(self.flatten(t))
 
     # flatten and formula dispatch on the exact class, not on class
     # patterns: every entailment query walks its hypotheses and goal here
@@ -124,10 +110,13 @@ class _Flattener:
             except KeyError:
                 raise SortError(f"unbound cube variable {t.name}") from None
         if cls is Meet or cls is Join:
-            fa, fb = self.flatten(t.left), self.flatten(t.right)
-            if not (_interval_tree(fa) and _interval_tree(fb)):
-                raise SortError("connections apply to interval terms only")
-            return ("min" if cls is Meet else "max", fa, fb)
+            # an ill-sorted left side is reported before anything in the right
+            fa = self.flatten(t.left)
+            if _interval_tree(fa):
+                fb = self.flatten(t.right)
+                if _interval_tree(fb):
+                    return ("min" if cls is Meet else "max", fa, fb)
+            raise SortError("connections apply to interval terms only")
         if cls is Cube0:
             return ("const", 0)
         if cls is Cube1:
@@ -183,14 +172,11 @@ def _interval_tree(tree: tuple) -> bool:
     return tree[0] in ("atom", "const", "min", "max")
 
 
-def _sort_key(sort: CubeSort):
-    match sort:
-        case Interval():
-            return "I"
-        case UnitCube():
-            return "1"
-        case ProdCube(l, r):
-            return (_sort_key(l), _sort_key(r))
+def _tree_sort(tree: tuple) -> CubeSort:
+    tag = tree[0]
+    if tag == "pair":
+        return ProdCube(_tree_sort(tree[1]), _tree_sort(tree[2]))
+    return UNIT_CUBE if tag == "unit" else INTERVAL
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +399,6 @@ class Solver:
     capacity: int = 8
     trace: Optional[Callable[[str], None]] = None
     memo: dict = field(default_factory=dict)
-    queries: int = 0
     # the cube context of the last call to `flattener`, and its flattener
     _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
@@ -434,7 +419,6 @@ class Solver:
         goal: Tope,
     ) -> bool:
         """Decide ctx | hyps |- goal over all finite total orders."""
-        self.queries += 1
         ctx = tuple(ctx)
         fl = self.flattener(ctx)
         # a hypothesis keeps its flattened and canonical forms on the node,
@@ -479,16 +463,3 @@ class Solver:
                 )
             )
         return result
-
-    def cube_equal(
-        self,
-        ctx: tuple[tuple[str, CubeSort], ...],
-        hyps: Tope,
-        a: Term,
-        b: Term,
-    ) -> bool:
-        """a == b under hyps, decomposing product sorts componentwise."""
-        fl = self.flattener(tuple(ctx))
-        if _sort_key(fl.sort_of(a)) != _sort_key(fl.sort_of(b)):
-            raise SortError("== relates terms of one sort")
-        return self.entails(ctx, hyps, TopeEq(a, b))

@@ -397,6 +397,47 @@ class TestJson:
         assert len(names) == 15
 
 
+class TestSortAndShapeMessages:
+    """Shapes and sorts in diagnostics print as concrete syntax, with the
+    parentheses a left-nested product needs."""
+
+    @staticmethod
+    def messages(run_cli, path) -> list[tuple[str, str]]:
+        """(human line, --json message) of each diagnostic of a check."""
+        code, out, _ = run_cli(path)
+        assert code == 1
+        human = [line for line in out.splitlines() if ": error[" in line]
+        code, out, _ = run_cli(path, "--json")
+        assert code == 1
+        (obj,) = [json.loads(line) for line in out.splitlines()]
+        found = [d["message"] for d in obj["diagnostics"]]
+        assert len(human) == len(found)
+        for line, message in zip(human, found):
+            assert line.endswith(message)
+        return found
+
+    def test_a_shape_prints_as_a_term(self, run_cli, tmp_path):
+        f = write(tmp_path, "shape.stt",
+                  "def D2 : U := {(t,s) : I * I | s <= t}; postulate A : U; "
+                  "postulate f : <Pi (p : D2) -> A | BOT |-> recBOT>; "
+                  "def g (t : I) (s : I) : A := f (t , s);\n")
+        assert self.messages(run_cli, f) == [
+            "in 'g': cube argument (t , s) is not inside the shape "
+            "{p : I * I | snd p <= fst p}"]
+
+    def test_a_nested_product_sort_keeps_its_parentheses(self, run_cli, tmp_path):
+        f = write(tmp_path, "nested.stt",
+                  "def D3 : U := {p : (I * I) * I | TOP};\n"
+                  "postulate A : U;\n"
+                  "postulate f : <Pi (p : D3) -> A | BOT |-> recBOT>;\n"
+                  "def g (t : I) (s : I) (r : I) : A := f (t , (s , r));\n"
+                  "def h (q : I * (I * I)) : D3 := q;\n")
+        assert self.messages(run_cli, f) == [
+            "in 'g': cube argument has sort I * I * I, expected (I * I) * I",
+            "in 'h': cube term has sort I * I * I, expected (I * I) * I",
+        ]
+
+
 class TestDeterminism:
     def test_stdout_byte_identical(self, run_cli, tmp_path):
         f = write(tmp_path, "m.stt",

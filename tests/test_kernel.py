@@ -683,6 +683,20 @@ class TestCheckInfer:
             expect_ok=False)
         assert report.diagnostics[0].code == "CHECK"
 
+    def test_an_ill_sorted_connection_is_one_error_in_terms_and_topes(self):
+        # a connection whose left side is no interval term is reported as
+        # such, in a cube term and in a tope alike, before its right side
+        report, _ = check_src(
+            "def x : {s : I | TOP} := unitpt /\\ fst 0;\n"
+            "def y : U := {t : I | (unitpt /\\ fst 0) <= t};\n"
+            "def z : U := {t : I | (fst 0 /\\ unitpt) <= t};\n",
+            expect_ok=False)
+        assert [(d.code, d.message) for d in report.diagnostics] == [
+            ("SORT", "in 'x': connections apply to interval terms only"),
+            ("SORT", "in 'y': connections apply to interval terms only"),
+            ("SORT", "in 'z': fst applied to a non-product cube term"),
+        ]
+
 
 class TestDeclarations:
     def test_postulate_extends_env(self):

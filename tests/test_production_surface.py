@@ -49,3 +49,35 @@ def test_every_definition_has_a_production_reference():
         and d.name not in referenced
     )
     assert not unreferenced, unreferenced
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_reaches_another_modules_private_names():
+    """A name with a leading underscore is its module's own: no other
+    module under ``src/stt`` imports it or reads it off the module."""
+    reached = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        module = os.path.basename(path)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        modules = set()  # the names this module binds to stt modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "stt"):
+                for alias in node.names:
+                    if node.module in (None, "stt"):
+                        modules.add(alias.asname or alias.name)
+                    elif _private(alias.name):
+                        reached.append(f"{module}: from {node.module} import {alias.name}")
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "stt":
+                        modules.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and _private(node.attr)
+                    and ast.unparse(node.value) in modules):
+                reached.append(f"{module}:{node.lineno}: {ast.unparse(node)}")
+    assert not reached, reached

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stt.syntax import (
-    Cube0, Cube1, Fst, INTERVAL, Interval, Join, Meet, Pair, ProdCube, Snd,
-    TOP, BOT, TopeAnd, TopeEq, TopeLeq, TopeOr, Var,
+    Cube0, Cube1, CubeStar, Fst, INTERVAL, Interval, Join, Meet, Pair, ProdCube,
+    Snd, TOP, BOT, TopeAnd, TopeEq, TopeLeq, TopeOr, UNIT_CUBE, Universe, Var,
 )
 from stt.topes import CapacityError, Solver, SortError
-from tope_oracle import MismatchError, Shape, oracle_entails, shape_included
+from tope_oracle import (
+    MismatchError, Shape, oracle_entails, reference_sort_of, shape_included, sort_key,
+)
 
 I = INTERVAL
 t, s, x, y, z = Var("t"), Var("s"), Var("x"), Var("y"), Var("z")
@@ -220,17 +222,66 @@ class TestShapes:
 
 class TestCubeEqual:
     def test_by_assumption(self, solver):
-        assert solver.cube_equal(CTX_T, eq(t, Cube0()), t, Cube0())
+        assert solver.entails(CTX_T, eq(t, Cube0()), TopeEq(t, Cube0()))
 
     def test_meet_top(self, solver):
-        assert solver.cube_equal(CTX_T, TOP, Meet(t, Cube1()), t)
+        assert solver.entails(CTX_T, TOP, TopeEq(Meet(t, Cube1()), t))
 
     def test_distinct_variables(self, solver):
-        assert not solver.cube_equal(CTX_TS, TOP, t, s)
+        assert not solver.entails(CTX_TS, TOP, TopeEq(t, s))
 
     def test_componentwise_pairs(self, solver):
-        assert solver.cube_equal(
-            CTX_TS, TOP, Pair(Meet(t, Cube1()), s), Pair(t, Join(s, Cube0())))
+        assert solver.entails(
+            CTX_TS, TOP, TopeEq(Pair(Meet(t, Cube1()), s), Pair(t, Join(s, Cube0()))))
+
+    def test_sides_of_two_sorts(self, solver):
+        with pytest.raises(SortError, match="^== relates terms of one sort$"):
+            solver.entails(CTX_TS, TOP, TopeEq(t, Pair(t, s)))
+
+
+# random cube sorts, and cube terms over a context of up to three of them;
+# the leaves are unbound names, a non-cube term and every cube constant
+
+_sorts = st.recursive(
+    st.sampled_from([INTERVAL, UNIT_CUBE]),
+    lambda sub: st.builds(ProdCube, sub, sub), max_leaves=4)
+
+
+def _sorted_terms(names):
+    leaves = st.sampled_from(
+        [Cube0(), Cube1(), CubeStar(), Universe(0)] + [Var(n) for n in names])
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.builds(Meet, sub, sub), st.builds(Join, sub, sub),
+            st.builds(Pair, sub, sub), st.builds(Fst, sub), st.builds(Snd, sub)),
+        max_leaves=8)
+
+
+def _sort_or_error(sort_of, t):
+    try:
+        return sort_of(t)
+    except SortError as e:
+        return str(e)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_sorts, max_size=3), _sorted_terms("abcd"))
+def test_sort_of_agrees_with_the_reference(sorts, term):
+    """The sort the flattener reads off a value tree is the sort the
+    reference walk finds, or both raise the same SortError."""
+    ctx = tuple(zip("abc", sorts))
+    got = _sort_or_error(Solver().flattener(ctx).sort_of, term)
+    expected = _sort_or_error(lambda t: reference_sort_of(ctx, t), term)
+    assert got == expected
+    if not isinstance(got, str):
+        assert sort_key(got) == sort_key(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sorts, _sorts)
+def test_sort_equality_is_key_equality(s1, s2):
+    assert (s1 == s2) == (sort_key(s1) == sort_key(s2))
 
 
 class TestOracle:

@@ -9,6 +9,10 @@ It shares no decision code with ``stt.topes.Solver``.
 with the solver: a cube telescope with a tope over it is included in
 another when the telescopes agree up to renaming and the tope entails the
 other's.
+
+``reference_sort_of`` and ``sort_key`` are the sort rule as a walk of its
+own over cube terms, and sorts as comparable tuples; the solver reads a
+term's sort off its flattened value instead.
 """
 
 from __future__ import annotations
@@ -18,8 +22,11 @@ from typing import Iterator
 
 import numpy as np
 
-from stt.syntax import Var, subst
-from stt.topes import CapacityError, Solver, SortError, _Flattener, _sort_key
+from stt.syntax import (
+    CubeSort, Cube0, Cube1, CubeStar, Fst, Interval, Join, Meet, Pair, ProdCube,
+    Snd, Term, Tope, UnitCube, Var, subst,
+)
+from stt.topes import CapacityError, Solver, SortError, _Flattener
 
 _grid_model_cache: dict[int, list[np.ndarray]] = {}
 
@@ -119,8 +126,59 @@ def shape_included(solver: Solver, sub: Shape, sup: Shape) -> bool:
         raise MismatchError("shape cube contexts differ in length")
     tope = sup.tope
     for (n1, s1), (n2, s2) in zip(sub.cube_context, sup.cube_context):
-        if _sort_key(s1) != _sort_key(s2):
+        if s1 != s2:
             raise MismatchError("shape cube contexts differ in sorts")
         if n1 != n2:
             tope = subst(tope, n2, Var(n1))
     return solver.entails(sub.cube_context, sub.tope, tope)
+
+
+# ---------------------------------------------------------------------------
+# the sort rule, walked on its own
+
+
+def reference_sort_of(ctx: tuple[tuple[str, CubeSort], ...], t: Term) -> CubeSort:
+    """The sort of a cube term in a duplicate-free cube context; SortError
+    with the solver's messages if it is ill-sorted."""
+    sorts = dict(ctx)
+
+    def sort_of(t: Term) -> CubeSort:
+        match t:
+            case Var(n):
+                if n not in sorts:
+                    raise SortError(f"unbound cube variable {n}")
+                return sorts[n]
+            case Cube0() | Cube1():
+                return Interval()
+            case CubeStar():
+                return UnitCube()
+            case Meet(a, b) | Join(a, b):
+                if isinstance(sort_of(a), Interval) and isinstance(sort_of(b), Interval):
+                    return Interval()
+                raise SortError("connections apply to interval terms only")
+            case Pair(a, b):
+                return ProdCube(sort_of(a), sort_of(b))
+            case Fst(p):
+                s = sort_of(p)
+                if isinstance(s, ProdCube):
+                    return s.left
+                raise SortError("fst applied to a non-product cube term")
+            case Snd(p):
+                s = sort_of(p)
+                if isinstance(s, ProdCube):
+                    return s.right
+                raise SortError("snd applied to a non-product cube term")
+        raise SortError(f"not a cube term: {type(t).__name__}")
+
+    return sort_of(t)
+
+
+def sort_key(sort: CubeSort):
+    """A sort as nested tuples of ``"I"`` and ``"1"``."""
+    match sort:
+        case Interval():
+            return "I"
+        case UnitCube():
+            return "1"
+        case ProdCube(l, r):
+            return (sort_key(l), sort_key(r))
